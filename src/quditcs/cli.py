@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -59,7 +60,10 @@ class RunConfig:
 
 
 def parse_amplitude(token: str, dim: int) -> complex:
-    """Resolve an --amp value: 're', 're,im', or the symbolic 'Td' / 'Td/2'."""
+    """Resolve an --amp value: 're', 're,im', or the symbolic 'Td' / 'Td/2'.
+
+    Malformed or non-finite (nan, inf) values raise AmplitudeFormatError.
+    """
     text = token.strip()
     lowered = text.lower()
     if lowered in ("td", "td/2"):
@@ -77,6 +81,8 @@ def parse_amplitude(token: str, dim: int) -> complex:
         raise AmplitudeFormatError(
             f"amplitude {token!r} is not 're', 're,im', 'Td' or 'Td/2'"
         ) from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise AmplitudeFormatError(f"amplitude {token!r} is not finite")
     return complex(re, im)
 
 

@@ -31,8 +31,8 @@ _NULL_TOL = 1e-12
 class QuditState:
     """A normalized pure state on a d-dimensional Fock ladder.
 
-    The amplitude vector is validated to unit norm (within 1e-10) and made
-    read-only, so instances are safe to share across threads.
+    The amplitude vector is validated to be finite and of unit norm (within
+    1e-10) and made read-only, so instances are safe to share across threads.
     """
 
     amps: np.ndarray
@@ -41,6 +41,8 @@ class QuditState:
         amps = np.atleast_1d(np.asarray(self.amps, dtype=complex))
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must form a nonempty vector")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state vector has norm {norm:.17g}, expected 1")
@@ -57,6 +59,8 @@ class QuditState:
         """Normalize an arbitrary nonzero vector into a state."""
         amps = np.atleast_1d(np.asarray(amps, dtype=complex))
         norm = np.linalg.norm(amps)
+        if not np.isfinite(norm):
+            raise ValueError("amplitudes must be finite")
         if norm < _NULL_TOL:
             raise NullStateError("cannot normalize a (numerically) zero vector")
         return cls(amps / norm)

@@ -44,7 +44,10 @@ class QcsParams:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        amplitude = complex(self.amplitude)
+        if not cmath.isfinite(amplitude):
+            raise ValueError(f"amplitude must be finite, got {amplitude}")
+        object.__setattr__(self, "amplitude", amplitude)
 
     @property
     def modulus(self) -> float:

@@ -19,7 +19,6 @@ divides the line integral by sqrt(2).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,8 @@ from scipy.integrate import simpson
 
 from .errors import ConvergenceError
 from .fock import QuditState
-from .phase_space import QuadratureSpec, _thread_count, outer_radius, wigner_values
+from .phase_space import QuadratureSpec, _check_thread_setting, outer_radius, wigner_values
+from .special_fn import hermite_function_table
 
 __all__ = [
     "Tomogram",
@@ -42,34 +42,11 @@ __all__ = [
 _MARGINAL_QUAD = QuadratureSpec(base_points=257, tol=1e-8, max_refinements=8)
 
 
-def _hermite_gauss_table(n_max: int, q) -> np.ndarray:
-    """Orthonormal oscillator wavefunctions psi_0..psi_{n_max} at q.
-
-    psi_0 = pi^{-1/4} e^{-q^2/2}, with the recurrence
-    psi_{n+1} = sqrt(2/(n+1)) q psi_n - sqrt(n/(n+1)) psi_{n-1}.
-    """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    table = np.empty((n_max + 1,) + q.shape)
-    table[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q)
-    if n_max >= 1:
-        table[1] = math.sqrt(2.0) * q * table[0]
-    for n in range(1, n_max):
-        table[n + 1] = math.sqrt(2.0 / (n + 1)) * q * table[n] - math.sqrt(
-            n / (n + 1.0)
-        ) * table[n - 1]
-    return table
-
-
 def _tomogram_rows(amps: np.ndarray, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """values[i, j] = w(q_j, theta_i) for one amplitude vector."""
-    d = amps.size
-    psi = _hermite_gauss_table(d - 1, q)
-    n = np.arange(d)
-    out = np.empty((thetas.size, q.size))
-    for i, theta in enumerate(thetas):
-        rotated = (amps * np.exp(-1j * n * theta)) @ psi
-        out[i] = rotated.real**2 + rotated.imag**2
-    return out
+    psi = hermite_function_table(amps.size - 1, q)
+    rotated = (amps * np.exp(-1j * np.outer(thetas, np.arange(amps.size)))) @ psi
+    return rotated.real**2 + rotated.imag**2
 
 
 def tomogram_closed_form(s: QuditState, q: float, theta: float) -> float:
@@ -153,28 +130,15 @@ def tomogram_grid(
     """Sample the tomogram on q in [-(outer_radius+2), outer_radius+2] and
     theta in [0, 2 pi] (both ends included).
 
-    Rows are distributed over threads (QCS_THREADS); each row's summation
-    order is fixed, so output does not depend on the thread count.
+    All rows come from one (ntheta x d) @ (d x nq) product.
     """
     if nq < 32 or ntheta < 32:
         raise ValueError(f"grid needs at least 32 points per axis, got {nq} x {ntheta}")
+    _check_thread_setting()
     hw = outer_radius(s.dim) + 2.0
     qs = np.linspace(-hw, hw, nq)
     thetas = np.linspace(0.0, 2.0 * math.pi, ntheta)
-    threads = _thread_count()
-    if threads == 1:
-        values = _tomogram_rows(s.amps, qs, thetas)
-    else:
-        values = np.empty((ntheta, nq))
-        bounds = np.linspace(0, ntheta, threads + 1).astype(int)
-        chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-        def fill(span):
-            lo, hi = span
-            values[lo:hi] = _tomogram_rows(s.amps, qs, thetas[lo:hi])
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
+    values = _tomogram_rows(s.amps, qs, thetas)
     np.maximum(values, 0.0, out=values)
     if state_meta is None:
         state_meta = f"dim={s.dim}"

@@ -204,6 +204,17 @@ def test_parse_errors_exit_2(tmp_path):
     assert run_cli("state", "--family", "nope", "--out", out).returncode == 2
 
 
+def test_non_finite_amplitudes_exit_2(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = run_cli("state", "--dim", "3", "--amp", "nan", "--out", str(out))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert not out.exists()
+    assert cli.main(["wigner", "--dim", "3", "--amp", "inf", "--out", str(out)]) == 2
+    assert cli.main(["photon-dist", "--dim", "4", "--amp", "1,-inf", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_domain_errors_exit_3(tmp_path):
     out = str(tmp_path / "x.csv")
     assert run_cli("volume-sweep", "--dim", "9", "--out", out).returncode == 3

@@ -144,6 +144,14 @@ def test_state_norm_validation():
         QuditState.from_amplitudes(np.array([]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError):
+        QuditState(np.array([bad, 0.0]))
+    with pytest.raises(ValueError):
+        QuditState.from_amplitudes(np.array([bad, 1.0]))
+
+
 def test_state_basis_and_dim():
     s = QuditState.basis(4, 2)
     assert s.dim == 4

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre
 
+from quditcs import phase_space
 from quditcs.errors import ConvergenceError
 from quditcs.fock import QuditState
 from quditcs.phase_space import (
@@ -22,6 +23,7 @@ from quditcs.phase_space import (
     wigner_mixture,
     wigner_state,
     wigner_values,
+    _eval_wigner,
 )
 from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
 
@@ -293,3 +295,69 @@ def test_volume_orders_the_two_families(d):
         da = nonclassical_volume(nonlinear_qcs(QcsParams(d, amp)))
         db = nonclassical_volume(linear_qcs(QcsParams(d, amp)))
         assert da >= db - 2e-3
+
+
+def _random_state(d: int, seed: int) -> QuditState:
+    rng = np.random.default_rng(seed)
+    return QuditState.from_amplitudes(rng.normal(size=d) + 1j * rng.normal(size=d))
+
+
+def _half_step_over_h_max(d: int, grid: WignerGrid) -> float:
+    """Half the x-step over the largest alias-free y-step (see _weyl_grid):
+    above 1 the evaluator refines the psi sample, below 1 it strides it."""
+    reach = math.sqrt(2.0 * d + 1.0) + 6.0
+    ps = grid.p_axis()
+    p_max = np.max(np.abs(ps[math.sqrt(2.0) * np.abs(ps) <= reach]))
+    half_dx = (grid.q_max - grid.q_min) / ((grid.nq - 1) * math.sqrt(2.0))
+    return half_dx * (reach + math.sqrt(2.0) * p_max) / math.pi
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 100, 150])
+def test_wigner_grid_matches_laguerre_sweep(d):
+    s = _random_state(d, 300 + d)
+    hw = outer_radius(d) + 2.0
+    grid = wigner_grid(s, window=(-0.8 * hw, hw, -hw, 0.6 * hw), nq=73, npts=58)
+    reference = _eval_wigner(s.amps, grid.q_axis()[:, None], grid.p_axis()[None, :])
+    assert np.max(np.abs(grid.values - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, half_width, nq, npts, regime",
+    [
+        (8, 12.0, 16, 21, "fine"),  # x-step far above the y-step
+        (32, 9.0, 23, 17, "fine"),
+        (8, None, 201, 201, "stride"),  # default grid: y-step spans x-steps
+        (150, None, 401, 101, "stride"),
+        (32, 1e-3, 40, 30, "stride"),  # narrower than one y-step: direct psi
+    ],
+)
+def test_wigner_grid_sampling_regimes_match_laguerre_sweep(d, half_width, nq, npts, regime):
+    s = _random_state(d, 500 + d)
+    hw = outer_radius(d) + 2.0 if half_width is None else half_width
+    grid = wigner_grid(s, window=(-hw, 0.9 * hw, -0.7 * hw, hw), nq=nq, npts=npts)
+    assert (_half_step_over_h_max(d, grid) > 1.0) == (regime == "fine")
+    reference = _eval_wigner(s.amps, grid.q_axis()[:, None], grid.p_axis()[None, :])
+    assert np.max(np.abs(grid.values - reference)) <= 1e-12
+
+
+def test_wigner_grid_on_a_huge_window_matches_laguerre_sweep():
+    # Only the origin lies inside the state's support; the rest must come
+    # out as zeros without sampling psi on a 1e5-wide axis.
+    s = _random_state(6, 61)
+    grid = wigner_grid(s, window=(-1e4, 1e4, -1e5, 1e5), nq=21, npts=21)
+    reference = _eval_wigner(s.amps, grid.q_axis()[:, None], grid.p_axis()[None, :])
+    assert abs(reference[10, 10]) > 1e-3
+    assert np.max(np.abs(grid.values - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_nonclassical_volume_matches_laguerre_route(d, monkeypatch):
+    s = nonlinear_qcs(QcsParams(d, 0.37 * quasiperiod(d).value))
+    fast = nonclassical_volume(s)
+    monkeypatch.setattr(
+        phase_space,
+        "_weyl_grid",
+        lambda amps, qs, ps: _eval_wigner(amps, qs[:, None], ps[None, :]),
+    )
+    assert fast > 0.0
+    assert abs(fast - nonclassical_volume(s)) <= 1e-10

@@ -43,6 +43,12 @@ def test_params_polar_decomposition():
         QcsParams(0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(1.0, math.nan)])
+def test_params_reject_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError):
+        QcsParams(3, bad)
+
+
 def test_nonlinear_qubit_is_a_rotation():
     for a in (0.0, 0.4, 1.3, math.pi / 2.0):
         s = nonlinear_qcs(QcsParams(2, a))

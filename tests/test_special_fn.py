@@ -8,11 +8,13 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from quditcs.special_fn import (
+    MAX_DEGREE,
     LogFactorialCache,
     he_asymptotic,
     he_eval,
     he_roots,
     he_zero,
+    hermite_function_table,
     laguerre_eval,
     log_factorial,
     log_factorial_array,
@@ -165,6 +167,40 @@ def test_discrete_orthogonality(d):
     p = orthonormal_he_table(d - 1, table.roots)
     gram = (p * table.christoffel) @ p.T
     assert np.max(np.abs(gram - np.eye(d))) <= 1e-9
+
+
+def test_discrete_orthogonality_to_rounding_up_to_max_degree():
+    worst = {}
+    for d in range(2, MAX_DEGREE + 1):
+        table = he_roots(d)
+        p = orthonormal_he_table(d - 1, table.roots)
+        worst[d] = np.max(np.abs((p * table.christoffel) @ p.T - np.eye(d)))
+    d_max = max(worst, key=worst.get)
+    assert worst[d_max] <= 1e-14, f"Gram error {worst[d_max]:.3g} at d={d_max}"
+
+
+def test_hermite_function_table_against_mpmath():
+    q = np.array([-3.1, 0.0, 0.7, 9.5])
+    table = hermite_function_table(150, q)
+    assert table.shape == (151, 4)
+    with mpmath.workdps(60):
+        for n in (0, 1, 7, 60, 150):
+            for j, qv in enumerate(q):
+                x = mpmath.mpf(float(qv))
+                exact = (
+                    mpmath.hermite(n, x)
+                    * mpmath.exp(-x * x / 2)
+                    / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+                )
+                assert table[n, j] == pytest.approx(float(exact), rel=1e-9, abs=1e-300)
+
+
+def test_hermite_function_table_far_out_underflows_to_zero():
+    # p_150(sqrt(2) q) alone overflows past q ~ 600; the Gaussian seed keeps
+    # every row finite.
+    table = hermite_function_table(150, np.array([40.0, 1e3, -1e6]))
+    assert np.all(np.isfinite(table))
+    assert np.all(table[:, 1:] == 0.0)
 
 
 def test_outermost_weight_at_max_degree_against_mpmath():

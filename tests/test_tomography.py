@@ -10,6 +10,7 @@ from quditcs.errors import ConvergenceError
 from quditcs.fock import QuditState
 from quditcs.phase_space import QuadratureSpec
 from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
+from quditcs.special_fn import hermite_function_table
 from quditcs.tomography import (
     Tomogram,
     tomogram_closed_form,
@@ -234,6 +235,15 @@ def test_tomogram_grid_validation():
         tomogram_grid(s, nq=31)
     with pytest.raises(ValueError):
         tomogram_grid(s, ntheta=8)
+
+
+def test_tomogram_grid_matches_per_angle_loop():
+    s = nonlinear_qcs(QcsParams(7, 1.1 - 0.6j))
+    tomo = tomogram_grid(s, nq=40, ntheta=33)
+    psi = hermite_function_table(s.dim - 1, tomo.q_grid)
+    for i, theta in enumerate(tomo.theta_grid):
+        rotated = (s.amps * np.exp(-1j * np.arange(s.dim) * theta)) @ psi
+        np.testing.assert_allclose(tomo.values[i], np.abs(rotated) ** 2, rtol=0.0, atol=1e-14)
 
 
 def test_tomogram_grid_thread_determinism(monkeypatch):
