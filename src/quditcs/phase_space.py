@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConvergenceError
 from .fock import QuditState
@@ -80,6 +80,40 @@ class QuadratureSpec:
             raise ValueError("max_refinements must be nonnegative")
 
 
+def _simpson_weights(xs: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights h/3 [1, 4, 2, ..., 2, 4, 1] of an odd-sized uniform axis."""
+    sw = np.full(xs.size, 2.0)
+    sw[1::2] = 4.0
+    sw[0] = sw[-1] = 1.0
+    return sw * ((xs[-1] - xs[0]) / (3.0 * (xs.size - 1)))
+
+
+def _refine_simpson(dim: int, quad_spec: QuadratureSpec, integrate, what: str) -> float:
+    """Refine integrate(xs, simpson_weights) on a centered window covering
+    outer_radius(dim) + 3, doubling the points (n -> 2n - 1) until two
+    successive estimates agree within quad_spec.tol; return the last one.
+    """
+    needed = outer_radius(dim) + 3.0
+    hw = needed if quad_spec.half_width is None else float(quad_spec.half_width)
+    if hw < needed - 1e-9:
+        raise ValueError(
+            f"window half-width {hw} does not cover the required radius {needed}"
+        )
+    n = quad_spec.base_points
+    prev = None
+    for _ in range(quad_spec.max_refinements + 1):
+        xs = np.linspace(-hw, hw, n)
+        value = integrate(xs, _simpson_weights(xs))
+        if prev is not None and abs(value - prev) <= quad_spec.tol:
+            return value
+        prev = value
+        n = 2 * n - 1
+    raise ConvergenceError(
+        f"{what} quadrature did not settle within tol={quad_spec.tol} "
+        f"after {quad_spec.max_refinements} refinements"
+    )
+
+
 def outer_radius(d: int) -> float:
     """Radius of the outer phase-space circle a d-level state can reach:
 
@@ -88,6 +122,25 @@ def outer_radius(d: int) -> float:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     return math.sqrt(d - 1.0) + math.sqrt(0.5 * math.log(2.0))
+
+
+def _g_sweep(m: int, r2):
+    """Yield G_0^(m), G_1^(m), ... (module docstring) at |z|^2 = r2, a float
+    or an array. G_0^(m) is taken through logs so no factor overflows; for
+    m = 0 the step is the plain Laguerre one, since sqrt(k k) = k exactly.
+    """
+    targ = 4.0 * r2
+    if m == 0:
+        g = np.exp(-2.0 * r2)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            g = np.exp(m * np.log(2.0 * np.sqrt(r2)) - 2.0 * r2 - 0.5 * log_factorial(m))
+    g_prev = 0.0
+    for k in count():
+        yield g
+        g_prev, g = g, (
+            (2 * k + 1 + m - targ) * g - math.sqrt(k * (k + m)) * g_prev
+        ) / math.sqrt((k + 1) * (k + 1 + m))
 
 
 def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
@@ -100,39 +153,23 @@ def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
     q = q.ravel()
     p = p.ravel()
     r2 = q * q + p * p
-    targ = 4.0 * r2
     absz = np.sqrt(r2)
 
     probs = np.abs(amps) ** 2
     acc = np.zeros(q.size)
-
-    # Diagonal sweep (m = 0): G_0 = e^{-2|z|^2} needs no logs.
-    g_prev = np.zeros(q.size)
-    g = np.exp(-2.0 * r2)
-    for k in range(d):
+    for k, g in zip(range(d), _g_sweep(0, r2)):
         if probs[k]:
             acc += probs[k] * ((-1.0) ** k) * g
-        g_prev, g = g, ((2 * k + 1 - targ) * g - k * g_prev) / (k + 1)
 
-    if d > 1:
-        with np.errstate(divide="ignore"):
-            log2z = np.log(2.0 * absz)
-        safe = np.where(absz > 0.0, absz, 1.0)
-        u = np.where(absz > 0.0, (q - 1j * p) / safe, 1.0 + 0.0j)
-        um = np.ones(q.size, dtype=complex)
-        for m in range(1, d):
-            um = um * u
-            cross = np.conj(amps[: d - m]) * amps[m:]
-            with np.errstate(over="ignore"):
-                g = np.exp(m * log2z - 2.0 * r2 - 0.5 * log_factorial(m))
-            g_prev = np.zeros(q.size)
-            for k in range(d - m):
-                c = cross[k]
-                if c:
-                    acc += 2.0 * ((-1.0) ** k) * (c * um).real * g
-                g_prev, g = g, (
-                    (2 * k + 1 + m - targ) * g - math.sqrt(k * (k + m)) * g_prev
-                ) / math.sqrt((k + 1) * (k + 1 + m))
+    safe = np.where(absz > 0.0, absz, 1.0)
+    u = np.where(absz > 0.0, (q - 1j * p) / safe, 1.0 + 0.0j)
+    um = np.ones(q.size, dtype=complex)
+    for m in range(1, d):
+        um = um * u
+        cross = np.conj(amps[: d - m]) * amps[m:]
+        for k, g in zip(range(d - m), _g_sweep(m, r2)):
+            if cross[k]:
+                acc += 2.0 * ((-1.0) ** k) * (cross[k] * um).real * g
 
     return (TWO_OVER_PI * acc).reshape(shape)
 
@@ -157,12 +194,8 @@ def wigner_fock(n: int, pt: PhasePoint) -> float:
     """
     if n < 0:
         raise ValueError(f"Fock index must be nonnegative, got {n}")
-    r2 = pt.q * pt.q + pt.p * pt.p
-    targ = 4.0 * r2
-    g_prev, g = 0.0, math.exp(-2.0 * r2)
-    for k in range(n):
-        g_prev, g = g, ((2 * k + 1 - targ) * g - k * g_prev) / (k + 1)
-    return TWO_OVER_PI * ((-1.0) ** n) * g
+    g = next(islice(_g_sweep(0, pt.q * pt.q + pt.p * pt.p), n, None))
+    return float(TWO_OVER_PI * ((-1.0) ** n) * g)
 
 
 def wigner_cross(k: int, l: int, pt: PhasePoint) -> complex:
@@ -180,15 +213,9 @@ def wigner_cross(k: int, l: int, pt: PhasePoint) -> complex:
     absz = math.sqrt(r2)
     if absz == 0.0:
         return 0.0j
-    targ = 4.0 * r2
-    g_prev = 0.0
-    g = math.exp(m * math.log(2.0 * absz) - 2.0 * r2 - 0.5 * log_factorial(m))
-    for j in range(k):
-        g_prev, g = g, ((2 * j + 1 + m - targ) * g - math.sqrt(j * (j + m)) * g_prev) / math.sqrt(
-            (j + 1) * (j + 1 + m)
-        )
+    g = next(islice(_g_sweep(m, r2), k, None))
     u = complex(pt.q, -pt.p) / absz
-    return TWO_OVER_PI * ((-1.0) ** k) * g * u**m
+    return complex(TWO_OVER_PI * ((-1.0) ** k) * g * u**m)
 
 
 def wigner_mixture(s: QuditState, pt: PhasePoint) -> float:
@@ -382,28 +409,13 @@ def nonclassical_volume(s: QuditState, quad_spec: QuadratureSpec = QuadratureSpe
     window, refined by doubling until two successive estimates agree within
     quad_spec.tol.
     """
-    needed = outer_radius(s.dim) + 3.0
-    hw = needed if quad_spec.half_width is None else float(quad_spec.half_width)
-    if hw < needed - 1e-9:
-        raise ValueError(
-            f"window half-width {hw} does not cover the required radius {needed}"
-        )
-    n = quad_spec.base_points
-    prev = None
-    for _ in range(quad_spec.max_refinements + 1):
-        xs = np.linspace(-hw, hw, n)
-        w = np.abs(_weyl_grid(s.amps, xs, xs))
-        integral = float(simpson(simpson(w, x=xs, axis=1), x=xs))
-        if prev is not None and abs(integral - prev) <= quad_spec.tol:
-            delta = integral - 1.0
-            if delta < -2e-4:
-                raise ConvergenceError(
-                    f"quadrature lost probability mass: integral {integral:.6g}"
-                )
-            return delta if delta > _VOLUME_ROUNDING_FLOOR else 0.0
-        prev = integral
-        n = 2 * n - 1
-    raise ConvergenceError(
-        f"volume quadrature did not settle within tol={quad_spec.tol} "
-        f"after {quad_spec.max_refinements} refinements"
+    integral = _refine_simpson(
+        s.dim,
+        quad_spec,
+        lambda xs, sw: float(sw @ np.abs(_weyl_grid(s.amps, xs, xs)) @ sw),
+        "volume",
     )
+    delta = integral - 1.0
+    if delta < -2e-4:
+        raise ConvergenceError(f"quadrature lost probability mass: integral {integral:.6g}")
+    return delta if delta > _VOLUME_ROUNDING_FLOOR else 0.0

@@ -1,5 +1,5 @@
 """Probabilists' Hermite polynomials, their root/weight tables, associated
-Laguerre polynomials, and a shared log-factorial cache.
+Laguerre polynomials, and log-factorial tables.
 
 The probabilists' family He_n is the one orthogonal under the standard
 normal weight exp(-x^2/2); everything downstream (coefficient expansions,
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConvergenceError
 
@@ -61,18 +60,13 @@ def he_eval(n: int, x):
 def orthonormal_he_eval(n: int, x):
     """Orthonormal probabilists' Hermite polynomial p_n(x) = He_n(x)/sqrt(n!).
 
-    Evaluated by its own recurrence
+    Row n of the orthonormal recurrence
     p_{k+1} = (x p_k - sqrt(k) p_{k-1}) / sqrt(k+1),
     which keeps every intermediate O(1) in the oscillatory region.
     """
-    if n < 0:
-        raise ValueError(f"polynomial degree must be nonnegative, got {n}")
     arr, scalar = _as_float_array(x)
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    for k in range(n):
-        prev, cur = cur, (arr * cur - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return float(cur) if scalar else cur
+    row = _orthonormal_recurrence(n, arr, np.ones_like(arr))[n]
+    return float(row) if scalar else row
 
 
 def _orthonormal_recurrence(n_max: int, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
@@ -178,15 +172,15 @@ class HermiteRootTable:
 def he_roots(d: int) -> HermiteRootTable:
     """All d roots of He_d with Christoffel weights.
 
-    The roots are the eigenvalues of the symmetric tridiagonal (Jacobi)
-    matrix with zero diagonal and off-diagonal entries sqrt(1), ...,
-    sqrt(d-1), polished by one Newton step x <- x - p_d(x) / (sqrt(d)
-    p_{d-1}(x)) on the same recurrence (p_d' = sqrt(d) p_{d-1}). The
-    eigensolver leaves absolute errors up to about 1e-13 at d = 150 that
-    depend on the LAPACK build; the step removes them. Roots are then
-    symmetrized exactly about 0 (averaged against their mirror partner; the
-    central root of odd d is snapped to 0.0) because downstream parity
-    splits rely on exact sign symmetry.
+    The roots are the eigenvalues of the dense symmetric Jacobi matrix (zero
+    diagonal, off-diagonals sqrt(1), ..., sqrt(d-1)) from numpy.linalg.eigvalsh,
+    polished by one Newton step x <- x - p_d(x) / (sqrt(d) p_{d-1}(x)) on
+    the same recurrence (p_d' = sqrt(d) p_{d-1}). The eigensolver leaves
+    absolute errors up to about 1e-13 at d = 150 that depend on the LAPACK
+    build; the step removes them. Roots are then symmetrized exactly about 0
+    (averaged against their mirror partner; the central root of odd d is
+    snapped to 0.0) because downstream parity splits rely on exact sign
+    symmetry.
 
     The weights are w_k = 1 / sum_{n<d} p_n(x_k)^2, evaluated at those roots
     by the orthonormal three-term recurrence. Unlike squared eigenvector
@@ -202,8 +196,9 @@ def he_roots(d: int) -> HermiteRootTable:
         roots = np.zeros(1)
         weights = np.ones(1)
     else:
+        off = np.sqrt(np.arange(1.0, d))
         try:
-            vals = eigvalsh_tridiagonal(np.zeros(d), np.sqrt(np.arange(1.0, d)))
+            vals = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigen-solve failed for degree {d}") from exc
         p = orthonormal_he_table(d, vals)
@@ -252,18 +247,13 @@ class LogFactorialCache:
         return float(self.values[n])
 
 
-_shared_cache = LogFactorialCache(2 * MAX_DEGREE)
-
-
 def log_factorial(n: int) -> float:
-    """ln(n!) from a shared read-only table (grown by replacement on demand)."""
-    global _shared_cache
-    if n > _shared_cache.n_max:
-        _shared_cache = LogFactorialCache(max(n, 2 * _shared_cache.n_max))
-    return _shared_cache[n]
+    """ln(n!) for one nonnegative integer n."""
+    if n < 0:
+        raise ValueError(f"factorial argument must be nonnegative, got {n}")
+    return math.lgamma(n + 1)
 
 
 def log_factorial_array(n_max: int) -> np.ndarray:
-    """Read-only view of ln(n!) for n = 0..n_max."""
-    log_factorial(n_max)
-    return _shared_cache.values[: n_max + 1]
+    """Read-only table of ln(n!) for n = 0..n_max."""
+    return LogFactorialCache(n_max).values

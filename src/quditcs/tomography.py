@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .errors import ConvergenceError
 from .fock import QuditState
-from .phase_space import QuadratureSpec, _check_thread_setting, outer_radius, wigner_values
+from .phase_space import QuadratureSpec, _check_thread_setting, _refine_simpson
+from .phase_space import outer_radius, wigner_values
 from .special_fn import hermite_function_table
 
 __all__ = [
@@ -70,28 +69,14 @@ def tomogram_from_wigner(
     with q' = q/sqrt(2). Simpson quadrature with refinement doubling; raises
     if two successive refinements never agree within quad_spec.tol.
     """
-    needed = outer_radius(s.dim) + 3.0
-    hw = needed if quad_spec.half_width is None else float(quad_spec.half_width)
-    if hw < needed - 1e-9:
-        raise ValueError(
-            f"window half-width {hw} does not cover the required radius {needed}"
-        )
     qz = float(q) / math.sqrt(2.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    n = quad_spec.base_points
-    prev = None
-    for _ in range(quad_spec.max_refinements + 1):
-        ps = np.linspace(-hw, hw, n)
+
+    def line_integral(ps, sw):
         line = wigner_values(s, qz * cos_t - ps * sin_t, qz * sin_t + ps * cos_t)
-        integral = float(simpson(line, x=ps)) / math.sqrt(2.0)
-        if prev is not None and abs(integral - prev) <= quad_spec.tol:
-            return integral
-        prev = integral
-        n = 2 * n - 1
-    raise ConvergenceError(
-        f"marginal quadrature did not settle within tol={quad_spec.tol} "
-        f"after {quad_spec.max_refinements} refinements"
-    )
+        return float(sw @ line) / math.sqrt(2.0)
+
+    return _refine_simpson(s.dim, quad_spec, line_integral, "marginal")
 
 
 @dataclass(frozen=True)

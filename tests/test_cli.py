@@ -244,6 +244,30 @@ def test_nonconvergence_exits_4(tmp_path, monkeypatch):
     assert rc == 4
 
 
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: every command must run with it blocked.
+    script = """
+import json, sys
+sys.modules["scipy"] = None
+from quditcs import cli
+out = sys.argv[1]
+codes = [
+    cli.main(["state", "--dim", "3", "--amp", "Td/2", "--out", out + "/s.csv"]),
+    cli.main(["wigner", "--dim", "4", "--nq", "16", "--np", "16", "--out", out + "/w.csv"]),
+    cli.main(["tomogram", "--dim", "4", "--nq", "32", "--ntheta", "32", "--out", out + "/t.csv"]),
+    cli.main(["volume-sweep", "--dim", "2", "--n-points", "3", "--out", out + "/v.csv"]),
+]
+print(json.dumps(codes))
+"""
+    env = dict(os.environ)
+    env.pop("QCS_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
+
+
 def test_exit_codes_are_distinct():
     codes = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_DOMAIN, cli.EXIT_NONCONVERGENCE}
     assert len(codes) == 4

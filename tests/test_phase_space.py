@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 from scipy.special import eval_genlaguerre
 
 from quditcs import phase_space
@@ -285,6 +285,15 @@ def test_nonclassical_volume_validation():
         QuadratureSpec(tol=0.0)
     with pytest.raises(ConvergenceError):
         nonclassical_volume(s, QuadratureSpec(max_refinements=0))
+
+
+@pytest.mark.parametrize("n", [17, 129, 257, 1025, 4097])
+@pytest.mark.parametrize("lo, hi", [(-7.3, 7.3), (0.2, 3.1), (-40.0, -1e-3)])
+def test_simpson_weights_match_scipy(n, lo, hi):
+    xs = np.linspace(lo, hi, n)
+    sw = phase_space._simpson_weights(xs)
+    for f in (np.exp(-xs * xs), np.cos(3.0 * xs) + 2.0, xs**3 + 3.0 * xs * xs + 1.0):
+        assert sw @ f == pytest.approx(simpson(f, x=xs), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])
