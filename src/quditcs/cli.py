@@ -108,9 +108,29 @@ def _meta(cfg: RunConfig) -> str:
 
 
 def _write_json(path: str, payload) -> None:
+    """json.dump(payload, indent=1, sort_keys=True) and a newline.
+
+    A grid payload's "values" (equal-length rows of finite floats) skips
+    json's per-item encoder: the envelope is encoded with null in its place,
+    and each row is written by one template of "%r", the repr json writes for
+    a finite float. The bytes are the same.
+    """
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        rows = payload.get("values") if isinstance(payload, dict) else None
+        if not (rows and rows[0]):  # json writes an empty matrix or row as []
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+            return
+        # Strings escape their newlines, so only the top-level key can start a
+        # line with a one-space indent.
+        key = '\n "values": '
+        head, tail = json.dumps({**payload, "values": None}, indent=1, sort_keys=True).split(
+            key + "null"
+        )
+        template = "  [\n" + ",\n".join(["   %r"] * len(rows[0])) + "\n  ]"
+        fh.write(head + key + "[\n")
+        fh.write(",\n".join([template % tuple(row) for row in rows]))
+        fh.write("\n ]" + tail + "\n")
 
 
 def cmd_state(cfg: RunConfig) -> int:
@@ -340,6 +360,8 @@ def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
             kwargs["dims"] = tuple(int(tok) for tok in str(ns.dims).split(",") if tok)
         except ValueError:
             raise AmplitudeFormatError(f"--dims {ns.dims!r} is not a comma-separated int list") from None
+        if not kwargs["dims"]:
+            raise AmplitudeFormatError(f"--dims {ns.dims!r} lists no dimension")
     if "window" in kwargs:
         kwargs["window"] = float(kwargs["window"])
     return RunConfig(**kwargs)

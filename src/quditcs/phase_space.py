@@ -309,6 +309,24 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return values
 
 
+def _write_grid_csv(path, header: str, outer, inner, values, coords: str) -> None:
+    """Write values[i, j] as one CSV line per grid point, outer axis slowest.
+
+    coords places the two coordinates, e.g. "{outer},{inner}"; each line ends
+    with ",w". Every number is written with "%.17g". Each axis value is
+    formatted once, and each grid row is one %-template that already holds
+    both coordinates and is filled with the row's values.
+    """
+    # "\0" stands for the outer coordinate; no formatted number contains it.
+    parts = "".join(
+        coords.format(outer="\0", inner="%.17g" % v) + ",%.17g\n" for v in inner.tolist()
+    ).split("\0")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for v, row in zip(outer.tolist(), values):
+            fh.write(("%.17g" % v).join(parts) % tuple(row.tolist()))
+
+
 @dataclass(frozen=True)
 class WignerGrid:
     """W sampled on a uniform rectangle; values[i, j] = W(q_i, p_j)."""
@@ -330,14 +348,9 @@ class WignerGrid:
 
     def write_csv(self, path) -> None:
         """Rows of q,p,w with q as the outer loop; 17 significant digits."""
-        qs = self.q_axis()
-        ps = self.p_axis()
-        with open(path, "w", newline="\n") as fh:
-            fh.write("q,p,w\n")
-            for i, qv in enumerate(qs):
-                row = self.values[i]
-                for j, pv in enumerate(ps):
-                    fh.write(f"{qv:.17g},{pv:.17g},{row[j]:.17g}\n")
+        _write_grid_csv(
+            path, "q,p,w", self.q_axis(), self.p_axis(), self.values, "{outer},{inner}"
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -375,6 +388,9 @@ def wigner_grid(
     q_min, q_max, p_min, p_max = (float(v) for v in window)
     if not (q_min < q_max and p_min < p_max):
         raise ValueError(f"degenerate window {window}")
+    # A finite span implies finite bounds; linspace over an infinite span gives NaN axes.
+    if not (math.isfinite(q_max - q_min) and math.isfinite(p_max - p_min)):
+        raise ValueError(f"window {window} is not finite or its span overflows")
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
     _check_thread_setting()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import QuditState
-from .phase_space import QuadratureSpec, _check_thread_setting, _refine_simpson
+from .phase_space import QuadratureSpec, _check_thread_setting, _refine_simpson, _write_grid_csv
 from .phase_space import outer_radius, wigner_values
 from .special_fn import hermite_function_table
 
@@ -90,12 +90,9 @@ class Tomogram:
 
     def write_csv(self, path) -> None:
         """Rows of q,theta,w with theta as the outer loop; 17 significant digits."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write("q,theta,w\n")
-            for i, tv in enumerate(self.theta_grid):
-                row = self.values[i]
-                for j, qv in enumerate(self.q_grid):
-                    fh.write(f"{qv:.17g},{tv:.17g},{row[j]:.17g}\n")
+        _write_grid_csv(
+            path, "q,theta,w", self.theta_grid, self.q_grid, self.values, "{inner},{outer}"
+        )
 
     def to_json_dict(self) -> dict:
         return {

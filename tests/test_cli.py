@@ -199,6 +199,7 @@ def test_parse_errors_exit_2(tmp_path):
     assert "error:" in proc.stderr
     proc = run_cli("fidelity-table", "--dims", "2;3", "--out", out)
     assert proc.returncode == 2
+    assert cli.main(["fidelity-table", "--dims", ",", "--out", out]) == 2
     # argparse rejections (missing --out, unknown family) also land on 2
     assert run_cli("state", "--dim", "2").returncode == 2
     assert run_cli("state", "--family", "nope", "--out", out).returncode == 2
@@ -212,6 +213,16 @@ def test_non_finite_amplitudes_exit_2(tmp_path):
     assert not out.exists()
     assert cli.main(["wigner", "--dim", "3", "--amp", "inf", "--out", str(out)]) == 2
     assert cli.main(["photon-dist", "--dim", "4", "--amp", "1,-inf", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("window", ["inf", "1e308"])
+def test_non_finite_window_exits_3(tmp_path, window, fmt):
+    # an infinite window, or one whose span 2 * window overflows, has NaN axes
+    out = tmp_path / f"w.{fmt}"
+    args = ["wigner", "--dim", "2", "--nq", "16", "--np", "16", "--window", window]
+    assert cli.main([*args, "--format", fmt, "--out", str(out)]) == 3
     assert not out.exists()
 
 
