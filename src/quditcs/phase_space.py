@@ -1,33 +1,36 @@
 """Wigner functions of truncated Fock-space states.
 
-Point queries (wigner_state, wigner_values) assemble W from bounded building
-blocks
+Point queries (wigner_state, wigner_values, wigner_fock, wigner_cross,
+wigner_mixture) assemble W from bounded building blocks
 
     G_k^(m)(z) = sqrt(k!/(k+m)!) (2|z|)^m e^{-2|z|^2} L_k^(m)(4|z|^2),
 
 swept by a three-term recurrence in k. Each block is O(1) for every k, m,
-|z| in the supported range, so no per-point rescaling is needed: the diagonal
-(mixture) terms contribute |c_n|^2 (-1)^n G_n^(0) and the off-diagonal
-(interference) terms 2 (-1)^k Re[c_k* c_{k+m} u^m] G_k^(m) with
-u = (q - i p)/|z|. That sweep costs O(d^2) per point. Grids (wigner_grid)
-and the nonclassical-volume quadrature (integrated |W| minus one) instead
-sample the wavefunction once and take its Weyl transform as one matrix
-product, whose cost does not grow with d; the Laguerre sweep stays their
-reference in the tests. The module also hosts CSV/JSON export.
+|z| in the supported range, so no per-point rescaling is needed. The
+Fock-pair kernel is W_{k,k+m}(z) = (2/pi) (-1)^k G_k^(m) u^m with
+u = (q - i p)/|z|: the diagonal (mixture) terms contribute
+|c_n|^2 W_{n,n} and the off-diagonal (interference) terms
+2 Re[c_k* c_{k+m} W_{k,k+m}]. One sweep (_kernel_sweep) steps k once for
+all m at a time, on a block of points, so a block costs O(d) numpy steps
+and O(d^2) arithmetic per point. Grids (wigner_grid) and the
+nonclassical-volume quadrature (integrated |W| minus one) instead sample the
+wavefunction once and take its Weyl transform as one matrix product, whose
+cost does not grow with d; the Laguerre sweep stays their reference in the
+tests. The module also hosts CSV/JSON export.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import os
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .fock import QuditState
-from .special_fn import hermite_function_table, log_factorial
+from .special_fn import hermite_function_table, log_factorial_array
 
 __all__ = [
     "PhasePoint",
@@ -124,53 +127,63 @@ def outer_radius(d: int) -> float:
     return math.sqrt(d - 1.0) + math.sqrt(0.5 * math.log(2.0))
 
 
-def _g_sweep(m: int, r2):
-    """Yield G_0^(m), G_1^(m), ... (module docstring) at |z|^2 = r2, a float
-    or an array. G_0^(m) is taken through logs so no factor overflows; for
-    m = 0 the step is the plain Laguerre one, since sqrt(k k) = k exactly.
+# Points per block of a point query, which keeps the working memory of the
+# kernel sweep at O(d * _POINT_BLOCK) whatever the number of points.
+_POINT_BLOCK = 512
+
+
+def _kernel_sweep(d: int, r2: np.ndarray):
+    """Yield, for k = 0..d-1, the (d - k) x N array of kernel rows
+
+        R_k[m] = (-1)^k G_k^(m),  m = 0..d-1-k,
+
+    at the 1-d array r2 of |z|^2 values; the Fock-pair kernel is
+    W_{k,k+m}(z) = (2/pi) R_k[m] u^m (module docstring). G_0^(m) is taken
+    through logs so no factor overflows, and R_0[0] = e^{-2|z|^2} exactly.
+    Each step in k is the three-term recurrence for every m at once, with
+    (-1)^k folded in.
     """
-    targ = 4.0 * r2
-    if m == 0:
-        g = np.exp(-2.0 * r2)
-    else:
-        with np.errstate(divide="ignore", over="ignore"):
-            g = np.exp(m * np.log(2.0 * np.sqrt(r2)) - 2.0 * r2 - 0.5 * log_factorial(m))
-    g_prev = 0.0
-    for k in count():
-        yield g
-        g_prev, g = g, (
-            (2 * k + 1 + m - targ) * g - math.sqrt(k * (k + m)) * g_prev
-        ) / math.sqrt((k + 1) * (k + 1 + m))
+    m = np.arange(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g = np.outer(m, np.log(2.0 * np.sqrt(r2))) - 2.0 * r2
+    rows = np.exp(log_g - 0.5 * log_factorial_array(d - 1)[:, None])
+    rows[0] = np.exp(-2.0 * r2)
+    shift = 4.0 * r2 - (m + 1.0)[:, None]  # 4|z|^2 - (2k + 1 + m) at k = 0
+    prev = np.zeros_like(rows)
+    for k in range(d):
+        yield rows
+        n = d - k - 1
+        mk = m[:n, None]
+        step = (shift[:n] - 2 * k) * rows[:n] - np.sqrt(k * (k + mk)) * prev[:n]
+        prev, rows = rows, step / np.sqrt((k + 1) * (k + 1 + mk))
 
 
 def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
-    """Vectorized W(q, p) for one amplitude vector; q, p broadcast together."""
-    d = amps.size
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q, p = np.broadcast_arrays(q, p)
+    """Vectorized W(q, p) for one amplitude vector; q, p broadcast together.
+
+    W = (2/pi) sum_m Re[u^m S_m] with S_m = sum_k (2 - delta_m0) c_k* c_{k+m}
+    R_k[m]: u^m does not depend on k, so it is applied once per m after the
+    sweep has summed over k.
+    """
+    q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     shape = q.shape
     q = q.ravel()
     p = p.ravel()
-    r2 = q * q + p * p
-    absz = np.sqrt(r2)
-
-    probs = np.abs(amps) ** 2
-    acc = np.zeros(q.size)
-    for k, g in zip(range(d), _g_sweep(0, r2)):
-        if probs[k]:
-            acc += probs[k] * ((-1.0) ** k) * g
-
-    safe = np.where(absz > 0.0, absz, 1.0)
-    u = np.where(absz > 0.0, (q - 1j * p) / safe, 1.0 + 0.0j)
-    um = np.ones(q.size, dtype=complex)
-    for m in range(1, d):
-        um = um * u
-        cross = np.conj(amps[: d - m]) * amps[m:]
-        for k, g in zip(range(d - m), _g_sweep(m, r2)):
-            if cross[k]:
-                acc += 2.0 * ((-1.0) ** k) * (cross[k] * um).real * g
-
+    d = amps.size
+    weights = [2.0 * np.conj(c) * amps[k:] for k, c in enumerate(amps)]
+    for w, c in zip(weights, amps):
+        w[0] = abs(c) ** 2
+    acc = np.empty(q.size)
+    for lo in range(0, q.size, _POINT_BLOCK):
+        qb, pb = q[lo : lo + _POINT_BLOCK], p[lo : lo + _POINT_BLOCK]
+        s_re = np.zeros((d, qb.size))
+        s_im = np.zeros((d, qb.size))
+        for w, rows in zip(weights, _kernel_sweep(d, qb * qb + pb * pb)):
+            s_re[: w.size] += w.real[:, None] * rows
+            s_im[: w.size] += w.imag[:, None] * rows
+        # u^m = e^{-i m phi}, so Re[u^m S_m] = cos(m phi) Re S_m + sin(m phi) Im S_m
+        mphi = np.outer(np.arange(d), np.arctan2(pb, qb))
+        acc[lo : lo + qb.size] = (s_re * np.cos(mphi) + s_im * np.sin(mphi)).sum(axis=0)
     return (TWO_OVER_PI * acc).reshape(shape)
 
 
@@ -184,6 +197,11 @@ def wigner_state(s: QuditState, pt: PhasePoint) -> float:
     return float(_eval_wigner(s.amps, pt.q, pt.p)[()])
 
 
+def _point_sweep(d: int, pt: PhasePoint):
+    """Kernel rows R_k[m], as 1-d arrays, of dimension d at the single point pt."""
+    return (rows[:, 0] for rows in _kernel_sweep(d, np.array([pt.q * pt.q + pt.p * pt.p])))
+
+
 def wigner_fock(n: int, pt: PhasePoint) -> float:
     """Wigner function of the Fock state |n>:
 
@@ -194,8 +212,7 @@ def wigner_fock(n: int, pt: PhasePoint) -> float:
     """
     if n < 0:
         raise ValueError(f"Fock index must be nonnegative, got {n}")
-    g = next(islice(_g_sweep(0, pt.q * pt.q + pt.p * pt.p), n, None))
-    return float(TWO_OVER_PI * ((-1.0) ** n) * g)
+    return float(TWO_OVER_PI * next(islice(_point_sweep(n + 1, pt), n, None))[0])
 
 
 def wigner_cross(k: int, l: int, pt: PhasePoint) -> complex:
@@ -208,14 +225,8 @@ def wigner_cross(k: int, l: int, pt: PhasePoint) -> complex:
     """
     if k < 0 or l <= k:
         raise ValueError(f"need l > k >= 0, got k={k}, l={l}")
-    m = l - k
-    r2 = pt.q * pt.q + pt.p * pt.p
-    absz = math.sqrt(r2)
-    if absz == 0.0:
-        return 0.0j
-    g = next(islice(_g_sweep(m, r2), k, None))
-    u = complex(pt.q, -pt.p) / absz
-    return complex(TWO_OVER_PI * ((-1.0) ** k) * g * u**m)
+    g = next(islice(_point_sweep(l + 1, pt), k, None))[l - k]
+    return complex(TWO_OVER_PI * g * cmath.exp(-1j * (l - k) * math.atan2(pt.p, pt.q)))
 
 
 def wigner_mixture(s: QuditState, pt: PhasePoint) -> float:
@@ -223,26 +234,8 @@ def wigner_mixture(s: QuditState, pt: PhasePoint) -> float:
 
     Depends on |z| only, hence invariant under phase-space rotations.
     """
-    return float(
-        sum(
-            prob * wigner_fock(n, pt)
-            for n, prob in enumerate(np.abs(s.amps) ** 2)
-            if prob
-        )
-    )
-
-
-def _check_thread_setting() -> None:
-    """Validate QCS_THREADS, which must parse as an integer.
-
-    Grids are evaluated as single matrix products, so the value no longer
-    splits any work; a malformed value is still a domain error.
-    """
-    raw = os.environ.get("QCS_THREADS", "1")
-    try:
-        int(raw)
-    except ValueError:
-        raise ValueError(f"QCS_THREADS must be an integer, got {raw!r}") from None
+    diagonal = np.array([rows[0] for rows in _point_sweep(s.dim, pt)])
+    return float(TWO_OVER_PI * (np.abs(s.amps) ** 2 @ diagonal))
 
 
 def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -378,7 +371,7 @@ def wigner_grid(
     half-width outer_radius(dim) + 2 centered at the origin. Values come
     from the Weyl transform of the sampled wavefunction (two matrix
     products, see _weyl_grid) and agree with the pointwise Laguerre sweep to
-    rounding. QCS_THREADS is validated but splits no work.
+    rounding.
     """
     if nq < 16 or npts < 16:
         raise ValueError(f"grid needs at least 16 points per axis, got {nq} x {npts}")
@@ -393,7 +386,6 @@ def wigner_grid(
         raise ValueError(f"window {window} is not finite or its span overflows")
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
-    _check_thread_setting()
     values = _weyl_grid(s.amps, qs, ps)
     if state_meta is None:
         state_meta = f"dim={s.dim}"

@@ -230,26 +230,12 @@ def closed_form_qcs(d: int, params: QcsParams) -> QuditState:
 def parity_coefficients(d: int, alpha_mod: float):
     """Displacement coefficients at phase 0 split by Fock-index parity.
 
-    Using the exact sign symmetry of the root table, the full-root sum
-    collapses onto the positive roots: even-n entries pick up a cosine sum
-    (plus the zero-root term when d is odd), odd-n entries a sine sum.
-    Returns (even_part, odd_part) as full-length vectors that are zero on the
-    opposite parity; their sum equals the unnormalized coefficient vector.
+    Returns (even_part, odd_part): the unnormalized coefficient vector of
+    _raw_coefficients with its odd-index, respectively even-index, entries
+    set to zero, so the two parts sum to it.
     """
     if alpha_mod < 0:
         raise ValueError(f"amplitude modulus must be nonnegative, got {alpha_mod}")
-    table = he_roots(d)
-    half = d // 2
-    pos_roots = table.roots[d - half :]
-    pos_weights = table.christoffel[d - half :]
-    p_pos = orthonormal_he_table(d - 1, pos_roots)
-    cos_sum = 2.0 * (p_pos * pos_weights) @ np.cos(pos_roots * alpha_mod)
-    sin_sum = 2.0 * (p_pos * pos_weights) @ np.sin(pos_roots * alpha_mod)
-    if d % 2:
-        p_zero = orthonormal_he_table(d - 1, np.zeros(1))[:, 0]
-        cos_sum = cos_sum + table.christoffel[half] * p_zero
-    n = np.arange(d)
-    phase = np.exp(-0.5j * math.pi * n)
-    even_part = np.where(n % 2 == 0, phase * cos_sum, 0.0 + 0.0j)
-    odd_part = np.where(n % 2 == 1, phase * 1j * sin_sum, 0.0 + 0.0j)
-    return even_part, odd_part
+    raw = _raw_coefficients(d, alpha_mod, 0.0)
+    even = np.arange(d) % 2 == 0
+    return np.where(even, raw, 0.0), np.where(even, 0.0, raw)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import QuditState
-from .phase_space import QuadratureSpec, _check_thread_setting, _refine_simpson, _write_grid_csv
+from .phase_space import QuadratureSpec, _refine_simpson, _write_grid_csv
 from .phase_space import outer_radius, wigner_values
 from .special_fn import hermite_function_table
 
@@ -39,6 +39,12 @@ __all__ = [
 # smooth one-dimensional Gaussian-tailed slice, so refinement is cheap and the
 # cross-module agreement contract (1e-5) needs headroom.
 _MARGINAL_QUAD = QuadratureSpec(base_points=257, tol=1e-8, max_refinements=8)
+
+
+def _q_half_width(d: int) -> float:
+    """Half-width of the tomogram q window: the Wigner-plane radius
+    outer_radius(d) + 2 in tomogram units, which stretch it by sqrt(2)."""
+    return math.sqrt(2.0) * (outer_radius(d) + 2.0)
 
 
 def _tomogram_rows(amps: np.ndarray, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -109,15 +115,14 @@ def tomogram_grid(
     ntheta: int = 181,
     state_meta: str | None = None,
 ) -> Tomogram:
-    """Sample the tomogram on q in [-(outer_radius+2), outer_radius+2] and
-    theta in [0, 2 pi] (both ends included).
+    """Sample the tomogram on q in [-_q_half_width(dim), _q_half_width(dim)]
+    and theta in [0, 2 pi] (both ends included).
 
     All rows come from one (ntheta x d) @ (d x nq) product.
     """
     if nq < 32 or ntheta < 32:
         raise ValueError(f"grid needs at least 32 points per axis, got {nq} x {ntheta}")
-    _check_thread_setting()
-    hw = outer_radius(s.dim) + 2.0
+    hw = _q_half_width(s.dim)
     qs = np.linspace(-hw, hw, nq)
     thetas = np.linspace(0.0, 2.0 * math.pi, ntheta)
     values = _tomogram_rows(s.amps, qs, thetas)

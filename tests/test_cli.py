@@ -236,12 +236,6 @@ def test_domain_errors_exit_3(tmp_path):
     assert "error:" in proc.stderr
     # unwritable output path
     assert run_cli("state", "--dim", "2", "--out", "/no/such/dir/x.csv").returncode == 3
-    # malformed thread-count environment variable
-    proc = run_cli(
-        "wigner", "--dim", "2", "--nq", "16", "--np", "16", "--out", out,
-        env_extra={"QCS_THREADS": "many"},
-    )
-    assert proc.returncode == 3
 
 
 def test_nonconvergence_exits_4(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -231,9 +232,6 @@ def test_wigner_grid_thread_determinism(monkeypatch):
     monkeypatch.setenv("QCS_THREADS", "3")
     threaded = wigner_grid(s, nq=41, npts=37)
     assert np.array_equal(base.values, threaded.values)
-    monkeypatch.setenv("QCS_THREADS", "soup")
-    with pytest.raises(ValueError):
-        wigner_grid(s, nq=16, npts=16)
 
 
 def test_wigner_grid_csv_roundtrip(tmp_path):
@@ -370,3 +368,68 @@ def test_nonclassical_volume_matches_laguerre_route(d, monkeypatch):
     )
     assert fast > 0.0
     assert abs(fast - nonclassical_volume(s)) <= 1e-10
+
+
+def _mp_wigner(amps: np.ndarray, q: float, p: float, diagonal_only: bool = False) -> float:
+    """W(q, p), or its mixture part alone, as a 40-digit mpmath sum over the
+    Fock-pair kernel (2/pi) (-1)^k sqrt(k!/l!) (2 z*)^m e^{-2|z|^2} L_k^(m)(4|z|^2),
+    with each L_k^(m) from the three-term recurrence in k."""
+    d = len(amps)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(q, p)
+        x = 4 * abs(z) ** 2
+        pref = 2 / mpmath.pi * mpmath.exp(-x / 2)
+        log_fact = [mpmath.log(mpmath.factorial(n)) for n in range(d)]
+        coeffs = [mpmath.mpc(complex(c)) for c in amps]
+        total = mpmath.mpf(0)
+        for m in range(1 if diagonal_only else d):
+            lag_prev, lag = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(d - m):
+                l = k + m
+                kernel = (
+                    pref * (-1) ** k * mpmath.exp((log_fact[k] - log_fact[l]) / 2)
+                    * (2 * mpmath.conj(z)) ** m * lag
+                )
+                term = mpmath.re(mpmath.conj(coeffs[k]) * coeffs[l] * kernel)
+                total += term if m == 0 else 2 * term
+                lag_prev, lag = lag, ((2 * k + 1 + m - x) * lag - (k + m) * lag_prev) / (k + 1)
+        return float(total)
+
+
+def _mp_kernel(k: int, l: int, q: float, p: float) -> complex:
+    """W_kl(z) from mpmath's own generalized Laguerre polynomial, at a
+    precision that covers the cancellation in its power series."""
+    with mpmath.workdps(250):
+        z = mpmath.mpc(q, p)
+        x = 4 * abs(z) ** 2
+        value = (
+            2 / mpmath.pi * (-1) ** k
+            * mpmath.sqrt(mpmath.factorial(k) / mpmath.factorial(l))
+            * (2 * mpmath.conj(z)) ** (l - k) * mpmath.exp(-x / 2)
+            * mpmath.laguerre(k, l - k, x)
+        )
+        return complex(value)
+
+
+@pytest.mark.parametrize("d", [100, 150])
+def test_high_dimension_point_query_against_mpmath(d):
+    phase = complex(math.cos(0.7), math.sin(0.7))
+    # near a cat at half a quasiperiod, where W(0) is far from zero
+    cat_like = nonlinear_qcs(QcsParams(d, 0.5 * quasiperiod(d).value * phase))
+    parity = TWO_OVER_PI * math.fsum((-1) ** n * abs(c) ** 2 for n, c in enumerate(cat_like.amps))
+    assert abs(wigner_values(cat_like, 0.0, 0.0) - parity) <= 1e-10
+    # beside the peak of a coherent-like state, at 0.8 of the outer radius
+    s = nonlinear_qcs(QcsParams(d, 0.4 * quasiperiod(d).value * phase))
+    q, p = 0.8 * outer_radius(d) * phase.real, 0.8 * outer_radius(d) * phase.imag
+    assert abs(wigner_values(s, q, p) - _mp_wigner(s.amps, q, p)) <= 1e-10
+
+
+def test_high_index_kernels_against_mpmath():
+    q, p = 3.1, -4.2
+    assert abs(wigner_fock(150, PhasePoint(q, p)) - _mp_kernel(150, 150, q, p).real) <= 1e-10
+    for k, l in [(74, 75), (74, 149)]:
+        assert abs(wigner_cross(k, l, PhasePoint(q, p)) - _mp_kernel(k, l, q, p)) <= 1e-10
+    # on the ring of a series state with about 54 photons
+    s = linear_qcs(QcsParams(150, 0.3 * quasiperiod(150).value))
+    mixture = _mp_wigner(s.amps, -6.7, 3.1, diagonal_only=True)
+    assert abs(wigner_mixture(s, PhasePoint(-6.7, 3.1)) - mixture) <= 1e-10

@@ -223,6 +223,18 @@ def test_tomogram_grid_angle_resolved_normalization(d):
         assert np.max(np.abs(norms - 1.0)) <= 1e-4
 
 
+@pytest.mark.parametrize("d", [2, 8, 32, 64, 150])
+def test_tomogram_grid_rows_carry_unit_mass(d):
+    # Tomogram quadratures have vacuum variance 1/2, so the q window must
+    # reach sqrt(2) times the Wigner-plane radius or the rows lose mass.
+    for frac in (0.25, 0.5, 1.0, 2.0):
+        p = QcsParams(d, frac * quasiperiod(d).value * complex(math.cos(0.3), math.sin(0.3)))
+        for s in (nonlinear_qcs(p), linear_qcs(p)):
+            tomo = tomogram_grid(s, nq=801, ntheta=91)
+            mass = np.trapezoid(tomo.values, tomo.q_grid, axis=1)
+            assert np.max(np.abs(mass - 1.0)) <= 1e-8
+
+
 def test_tomogram_grid_is_periodic():
     s = nonlinear_qcs(QcsParams(6, 1.4))
     tomo = tomogram_grid(s, nq=64, ntheta=32)
