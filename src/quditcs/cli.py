@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +33,10 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NONCONVERGENCE = 4
 
-_DEFAULT_TABLE_DIMS = (2, 3, 4, 5, 10, 11, 20, 21, 100, 101)
 _GRID_DIM_CAP = 32
 _SWEEP_DIM_CAP = 8
 
 FAMILIES = ("alpha", "beta", "cat-even", "cat-odd", "gamma")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation needs, resolved from flags."""
-
-    command: str
-    dim: int = 2
-    amplitude: str = "Td/2"
-    family: str = "alpha"
-    nq: int = 201
-    npts: int = 201
-    ntheta: int = 181
-    window: float | None = None
-    out: str = ""
-    format: str = "csv"
-    dims: tuple = _DEFAULT_TABLE_DIMS
-    n_points: int = 64
 
 
 def parse_amplitude(token: str, dim: int) -> complex:
@@ -86,25 +66,36 @@ def parse_amplitude(token: str, dim: int) -> complex:
     return complex(re, im)
 
 
-def build_state(cfg: RunConfig):
+def build_state(ns: argparse.Namespace):
     """Construct the requested family member at the resolved amplitude."""
-    amp = parse_amplitude(cfg.amplitude, cfg.dim)
-    params = QcsParams(dim=cfg.dim, amplitude=amp)
-    if cfg.family == "alpha":
+    amp = parse_amplitude(ns.amp, ns.dim)
+    params = QcsParams(dim=ns.dim, amplitude=amp)
+    if ns.family == "alpha":
         return nonlinear_qcs(params)
-    if cfg.family == "beta":
+    if ns.family == "beta":
         return linear_qcs(params)
-    if cfg.family == "cat-even":
+    if ns.family == "cat-even":
         return cat_state("alpha", "even", params)
-    if cfg.family == "cat-odd":
+    if ns.family == "cat-odd":
         return cat_state("alpha", "odd", params)
-    if cfg.family == "gamma":
+    if ns.family == "gamma":
         return complementary_state(params)
-    raise ValueError(f"unknown family {cfg.family!r}")
+    raise ValueError(f"unknown family {ns.family!r}")
 
 
-def _meta(cfg: RunConfig) -> str:
-    return f"family={cfg.family};dim={cfg.dim};amp={cfg.amplitude}"
+def parse_dims(text: str) -> list[int]:
+    """Resolve a --dims value, a comma-separated list of at least one int."""
+    try:
+        dims = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise AmplitudeFormatError(f"--dims {text!r} is not a comma-separated int list") from None
+    if not dims:
+        raise AmplitudeFormatError(f"--dims {text!r} lists no dimension")
+    return dims
+
+
+def _meta(ns: argparse.Namespace) -> str:
+    return f"family={ns.family};dim={ns.dim};amp={ns.amp}"
 
 
 def _write_json(path: str, payload) -> None:
@@ -133,28 +124,50 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n ]" + tail + "\n")
 
 
-def cmd_state(cfg: RunConfig) -> int:
-    s = build_state(cfg)
-    payload = {"meta": _meta(cfg), **s.to_json_dict()}
-    if cfg.format == "csv":
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write("n,re,im\n")
-            for n, c in enumerate(s.amps):
-                fh.write(f"{n},{c.real:.17g},{c.imag:.17g}\n")
+def _write_rows(ns: argparse.Namespace, columns, line: str, rows, payload=None) -> None:
+    """Write a row table to ns.out in ns.format.
+
+    The CSV is the comma-joined columns, then line % row for each row. The
+    JSON is a list of {column: value} objects, or payload when one is given
+    (a state file is one object).
+    """
+    if ns.format == "csv":
+        with open(ns.out, "w", newline="\n") as fh:
+            fh.write(",".join(columns) + "\n")
+            fh.writelines([line % row for row in rows])
+    elif payload is None:
+        _write_json(ns.out, [dict(zip(columns, row)) for row in rows])
     else:
-        _write_json(cfg.out, payload)
-    print(f"# {_meta(cfg)}")
+        _write_json(ns.out, payload)
+
+
+def _write_grid(ns: argparse.Namespace, grid) -> None:
+    """Write a WignerGrid or Tomogram to ns.out in ns.format."""
+    if ns.format == "csv":
+        grid.write_csv(ns.out)
+    else:
+        _write_json(ns.out, grid.to_json_dict())
+
+
+def cmd_state(ns: argparse.Namespace) -> int:
+    s = build_state(ns)
+    _write_rows(
+        ns,
+        ("n", "re", "im"),
+        "%d,%.17g,%.17g\n",
+        zip(range(s.dim), s.amps.real, s.amps.imag),
+        payload={"meta": _meta(ns), **s.to_json_dict()},
+    )
+    print(f"# {_meta(ns)}")
     print("n |c_n| arg(c_n)")
     for n, c in enumerate(s.amps):
         print(f"{n:3d} {abs(c):.6f} {np.angle(c):+.6f}")
     return EXIT_OK
 
 
-def cmd_fidelity_table(cfg: RunConfig) -> int:
+def cmd_fidelity_table(ns: argparse.Namespace) -> int:
     rows = []
-    for d in cfg.dims:
-        if d < 2:
-            raise ValueError(f"fidelity table needs dimensions >= 2, got {d}")
+    for d in parse_dims(ns.dims):
         half = 0.5 * quasiperiod(d).value
         params = QcsParams(dim=d, amplitude=half)
         minus = QcsParams(dim=d, amplitude=-half)
@@ -163,42 +176,32 @@ def cmd_fidelity_table(cfg: RunConfig) -> int:
         beta = linear_qcs(params)
         alpha_cat = cat_state("alpha", sign, params)
         beta_cat = cat_state("beta", sign, params)
-        rows.append(
-            {
-                "d": d,
-                "f_alpha_beta": fidelity(alpha, beta),
-                "f_alpha_cat_alpha": fidelity(alpha, alpha_cat),
-                "f_alpha_cat_beta": fidelity(alpha, beta_cat),
-                "f_cat_cat": fidelity(alpha_cat, beta_cat),
-                "f_mix": mixed_fidelity(alpha, beta, linear_qcs(minus)),
-            }
+        fids = (
+            fidelity(alpha, beta),
+            fidelity(alpha, alpha_cat),
+            fidelity(alpha, beta_cat),
+            fidelity(alpha_cat, beta_cat),
+            mixed_fidelity(alpha, beta, linear_qcs(minus)),
         )
-    keys = ("f_alpha_beta", "f_alpha_cat_alpha", "f_alpha_cat_beta", "f_cat_cat", "f_mix")
-    if cfg.format == "csv":
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write("d," + ",".join(keys) + "\n")
-            for row in rows:
-                fh.write(str(row["d"]) + "," + ",".join(f"{row[k]:.4f}" for k in keys) + "\n")
-    else:
-        _write_json(
-            cfg.out,
-            [{"d": row["d"], **{k: round(row[k], 4) for k in keys}} for row in rows],
-        )
+        # round() is correctly rounded, so "%.4f" of the rounded value is
+        # "%.4f" of the value itself.
+        rows.append((d, *(round(f, 4) for f in fids)))
+    columns = ("d", "f_alpha_beta", "f_alpha_cat_alpha", "f_alpha_cat_beta", "f_cat_cat", "f_mix")
+    _write_rows(ns, columns, "%d" + ",%.4f" * 5 + "\n", rows)
     return EXIT_OK
 
 
-def cmd_volume_sweep(cfg: RunConfig) -> int:
-    if cfg.dim > _SWEEP_DIM_CAP:
+def cmd_volume_sweep(ns: argparse.Namespace) -> int:
+    if ns.dim > _SWEEP_DIM_CAP:
         raise ValueError(
-            f"volume sweep supports dim <= {_SWEEP_DIM_CAP} (quadrature cost), got {cfg.dim}"
+            f"volume sweep supports dim <= {_SWEEP_DIM_CAP} (quadrature cost), got {ns.dim}"
         )
-    if cfg.n_points < 2:
-        raise ValueError(f"sweep needs at least 2 points, got {cfg.n_points}")
-    period = quasiperiod(cfg.dim).value
-    fracs = np.linspace(0.0, 2.0, cfg.n_points)
+    if ns.n_points < 2:
+        raise ValueError(f"sweep needs at least 2 points, got {ns.n_points}")
+    period = quasiperiod(ns.dim).value
     rows = []
-    for frac in fracs:
-        params = QcsParams(dim=cfg.dim, amplitude=frac * period)
+    for frac in np.linspace(0.0, 2.0, ns.n_points):
+        params = QcsParams(dim=ns.dim, amplitude=frac * period)
         rows.append(
             (
                 frac,
@@ -206,79 +209,37 @@ def cmd_volume_sweep(cfg: RunConfig) -> int:
                 nonclassical_volume(linear_qcs(params)),
             )
         )
-    if cfg.format == "csv":
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write("amp_over_period,delta_alpha,delta_beta\n")
-            for frac, da, db in rows:
-                fh.write(f"{frac:.17g},{da:.17g},{db:.17g}\n")
-    else:
-        _write_json(
-            cfg.out,
-            [
-                {"amp_over_period": frac, "delta_alpha": da, "delta_beta": db}
-                for frac, da, db in rows
-            ],
-        )
+    columns = ("amp_over_period", "delta_alpha", "delta_beta")
+    _write_rows(ns, columns, "%.17g,%.17g,%.17g\n", rows)
     return EXIT_OK
 
 
-def cmd_wigner(cfg: RunConfig) -> int:
-    if cfg.dim > _GRID_DIM_CAP:
-        raise ValueError(f"wigner grids support dim <= {_GRID_DIM_CAP}, got {cfg.dim}")
-    s = build_state(cfg)
-    window = None
-    if cfg.window is not None:
-        w = float(cfg.window)
-        window = (-w, w, -w, w)
-    grid = wigner_grid(s, window=window, nq=cfg.nq, npts=cfg.npts, state_meta=_meta(cfg))
-    if cfg.format == "csv":
-        grid.write_csv(cfg.out)
-    else:
-        _write_json(cfg.out, grid.to_json_dict())
+def cmd_wigner(ns: argparse.Namespace) -> int:
+    if ns.dim > _GRID_DIM_CAP:
+        raise ValueError(f"wigner grids support dim <= {_GRID_DIM_CAP}, got {ns.dim}")
+    s = build_state(ns)
+    w = ns.window
+    window = None if w is None else (-w, w, -w, w)
+    _write_grid(ns, wigner_grid(s, window=window, nq=ns.nq, npts=ns.npts, state_meta=_meta(ns)))
     return EXIT_OK
 
 
-def cmd_tomogram(cfg: RunConfig) -> int:
-    if cfg.dim > _GRID_DIM_CAP:
-        raise ValueError(f"tomogram grids support dim <= {_GRID_DIM_CAP}, got {cfg.dim}")
-    s = build_state(cfg)
-    tomo = tomogram_grid(s, nq=cfg.nq, ntheta=cfg.ntheta, state_meta=_meta(cfg))
-    if cfg.format == "csv":
-        tomo.write_csv(cfg.out)
-    else:
-        _write_json(cfg.out, tomo.to_json_dict())
+def cmd_tomogram(ns: argparse.Namespace) -> int:
+    if ns.dim > _GRID_DIM_CAP:
+        raise ValueError(f"tomogram grids support dim <= {_GRID_DIM_CAP}, got {ns.dim}")
+    s = build_state(ns)
+    _write_grid(ns, tomogram_grid(s, nq=ns.nq, ntheta=ns.ntheta, state_meta=_meta(ns)))
     return EXIT_OK
 
 
-def cmd_photon_dist(cfg: RunConfig) -> int:
-    amp = parse_amplitude(cfg.amplitude, cfg.dim)
-    params = QcsParams(dim=cfg.dim, amplitude=amp)
+def cmd_photon_dist(ns: argparse.Namespace) -> int:
+    amp = parse_amplitude(ns.amp, ns.dim)
+    params = QcsParams(dim=ns.dim, amplitude=amp)
     p_alpha = photon_distribution(nonlinear_qcs(params))
     p_beta = photon_distribution(linear_qcs(params))
-    if cfg.format == "csv":
-        with open(cfg.out, "w", newline="\n") as fh:
-            fh.write("n,p_alpha,p_beta\n")
-            for n in range(cfg.dim):
-                fh.write(f"{n},{p_alpha[n]:.17g},{p_beta[n]:.17g}\n")
-    else:
-        _write_json(
-            cfg.out,
-            [
-                {"n": n, "p_alpha": p_alpha[n], "p_beta": p_beta[n]}
-                for n in range(cfg.dim)
-            ],
-        )
+    rows = zip(range(ns.dim), p_alpha, p_beta)
+    _write_rows(ns, ("n", "p_alpha", "p_beta"), "%d,%.17g,%.17g\n", rows)
     return EXIT_OK
-
-
-_DISPATCH = {
-    "state": cmd_state,
-    "fidelity-table": cmd_fidelity_table,
-    "volume-sweep": cmd_volume_sweep,
-    "wigner": cmd_wigner,
-    "tomogram": cmd_tomogram,
-    "photon-dist": cmd_photon_dist,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("state", help="emit one state vector")
+    p.set_defaults(run=cmd_state)
     add_common(p)
 
     p = sub.add_parser("wigner", help="emit a Wigner-function grid")
+    p.set_defaults(run=cmd_wigner)
     add_common(p)
     p.add_argument("--nq", type=int, default=201)
     p.add_argument("--np", type=int, default=201, dest="npts")
@@ -315,64 +278,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("tomogram", help="emit an optical-tomogram grid")
+    p.set_defaults(run=cmd_tomogram)
     add_common(p)
     p.add_argument("--nq", type=int, default=201)
     p.add_argument("--ntheta", type=int, default=181)
 
     p = sub.add_parser("fidelity-table", help="emit the cat-state fidelity table")
+    p.set_defaults(run=cmd_fidelity_table)
     p.add_argument(
         "--dims",
-        default=",".join(str(d) for d in _DEFAULT_TABLE_DIMS),
+        default="2,3,4,5,10,11,20,21,100,101",
         help="comma-separated dimensions",
     )
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("volume-sweep", help="emit nonclassical volume vs amplitude")
+    p.set_defaults(run=cmd_volume_sweep)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--n-points", type=int, default=64, dest="n_points")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("photon-dist", help="emit photon statistics for both families")
+    p.set_defaults(run=cmd_photon_dist)
     add_common(p, family=False)
     return parser
 
 
-def config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    kwargs = {"command": ns.command}
-    for name, target in (
-        ("dim", "dim"),
-        ("amp", "amplitude"),
-        ("family", "family"),
-        ("nq", "nq"),
-        ("npts", "npts"),
-        ("ntheta", "ntheta"),
-        ("window", "window"),
-        ("out", "out"),
-        ("format", "format"),
-        ("n_points", "n_points"),
-    ):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            kwargs[target] = getattr(ns, name)
-    if hasattr(ns, "dims"):
-        try:
-            kwargs["dims"] = tuple(int(tok) for tok in str(ns.dims).split(",") if tok)
-        except ValueError:
-            raise AmplitudeFormatError(f"--dims {ns.dims!r} is not a comma-separated int list") from None
-        if not kwargs["dims"]:
-            raise AmplitudeFormatError(f"--dims {ns.dims!r} lists no dimension")
-    if "window" in kwargs:
-        kwargs["window"] = float(kwargs["window"])
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = config_from_namespace(ns)
-        return _DISPATCH[cfg.command](cfg)
+        return ns.run(ns)
     except AmplitudeFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -16,7 +16,8 @@ and O(d^2) arithmetic per point. Grids (wigner_grid) and the
 nonclassical-volume quadrature (integrated |W| minus one) instead sample the
 wavefunction once and take its Weyl transform as one matrix product, whose
 cost does not grow with d; the Laguerre sweep stays their reference in the
-tests. The module also hosts CSV/JSON export.
+tests. The module also hosts the grid CSV writer (_write_grid_csv), which
+the tomogram shares; JSON files are written by cli._write_json.
 """
 
 from __future__ import annotations
@@ -268,14 +269,16 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     h_max = math.pi / (reach + SQRT2 * np.max(np.abs(ps[cols])))
     half_dx = (qs[-1] - qs[0]) / ((qs.size - 1) * SQRT2)
     if half_dx <= h_max:
-        fine, stride = 1, int(h_max / half_dx)
+        fine, stride = 1, float(int(h_max / half_dx))
     else:
-        fine, stride = math.ceil(half_dx / h_max), 1
+        fine, stride = math.ceil(half_dx / h_max), 1.0
     step = half_dx / fine
     ks = np.arange(int(reach / (stride * step)) + 1)
-    # Node j of the fine sample sits at x0 + j * step.
+    # Node j of the fine sample sits at x0 + j * step. Node indices are
+    # floats: a window far narrower than h puts them past int64, and below
+    # 2**53 they are exact.
     x0 = SQRT2 * qs[rows[0]]
-    centre = 2 * fine * np.arange(rows.size)[:, None]
+    centre = 2.0 * fine * np.arange(rows.size)[:, None]
     plus = centre + stride * ks
     minus = centre - stride * ks
     lo, hi = minus[0, -1], plus[-1, -1]
@@ -289,7 +292,7 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     if hi - lo + 1 <= 2 * plus.size:
         psi = sample(np.arange(lo, hi + 1))
-        kernel = np.conj(psi[plus - lo]) * psi[minus - lo]
+        kernel = np.conj(psi[(plus - lo).astype(int)]) * psi[(minus - lo).astype(int)]
     else:
         kernel = np.conj(sample(plus)) * sample(minus)
     h = stride * step
@@ -384,6 +387,10 @@ def wigner_grid(
     # A finite span implies finite bounds; linspace over an infinite span gives NaN axes.
     if not (math.isfinite(q_max - q_min) and math.isfinite(p_max - p_min)):
         raise ValueError(f"window {window} is not finite or its span overflows")
+    # _weyl_grid indexes x nodes by q step; steps this small give subnormal,
+    # non-uniform axes and node indices beyond the float range.
+    if (q_max - q_min) / (nq - 1) < 1e-305:
+        raise ValueError(f"window {window} has a q step below 1e-305")
     qs = np.linspace(q_min, q_max, nq)
     ps = np.linspace(p_min, p_max, npts)
     values = _weyl_grid(s.amps, qs, ps)

@@ -126,7 +126,6 @@ def tomogram_grid(
     qs = np.linspace(-hw, hw, nq)
     thetas = np.linspace(0.0, 2.0 * math.pi, ntheta)
     values = _tomogram_rows(s.amps, qs, thetas)
-    np.maximum(values, 0.0, out=values)
     if state_meta is None:
         state_meta = f"dim={s.dim}"
     qs.flags.writeable = False

@@ -1,10 +1,11 @@
 """End-to-end command-line checks (subprocess round trips plus exit codes)."""
 
+import importlib.util
 import json
 import math
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +14,11 @@ import quditcs.cli as cli
 from quditcs.errors import ConvergenceError
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("QCS_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "quditcs", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -188,7 +184,7 @@ def test_byte_identical_reruns(tmp_path):
     out3 = tmp_path / "c.csv"
     assert run_cli(*args, "--out", str(out1)).returncode == 0
     assert run_cli(*args, "--out", str(out2)).returncode == 0
-    assert run_cli(*args, "--out", str(out3), env_extra={"QCS_THREADS": "2"}).returncode == 0
+    assert run_cli(*args, "--out", str(out3)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
 
@@ -223,6 +219,18 @@ def test_non_finite_window_exits_3(tmp_path, window, fmt):
     out = tmp_path / f"w.{fmt}"
     args = ["wigner", "--dim", "2", "--nq", "16", "--np", "16", "--window", window]
     assert cli.main([*args, "--format", fmt, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_tiny_window_exit_codes(tmp_path):
+    # node indices of a 1e-20 window pass int64; a subnormal q step is not
+    # a uniform axis
+    out = tmp_path / "w.csv"
+    args = ["wigner", "--dim", "2", "--nq", "16", "--np", "16", "--out", str(out)]
+    assert cli.main([*args, "--window", "1e-20"]) == 0
+    assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+    out.unlink()
+    assert cli.main([*args, "--window", "1e-320"]) == 3
     assert not out.exists()
 
 
@@ -264,10 +272,8 @@ codes = [
 ]
 print(json.dumps(codes))
 """
-    env = dict(os.environ)
-    env.pop("QCS_THREADS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
@@ -276,3 +282,16 @@ print(json.dumps(codes))
 def test_exit_codes_are_distinct():
     codes = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_DOMAIN, cli.EXIT_NONCONVERGENCE}
     assert len(codes) == 4
+
+
+def test_benchmark_tracer_targets_exist():
+    # The benchmark's traced mode swaps these attributes by name; after a
+    # rename its traced runs fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        (owner.__name__, attr) for owner, attr in tracer.TARGETS if attr not in owner.__dict__
+    ]
+    assert not missing

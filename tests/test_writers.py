@@ -1,4 +1,4 @@
-"""Grid file writers: full output bytes against plain per-value references."""
+"""Output file writers: full output bytes against plain per-value references."""
 
 import json
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import quditcs.cli as cli
-from quditcs.phase_space import WignerGrid, wigner_grid
-from quditcs.qcs import QcsParams, nonlinear_qcs
+from quditcs.fock import photon_distribution
+from quditcs.phase_space import WignerGrid, nonclassical_volume, wigner_grid
+from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
 from quditcs.tomography import Tomogram, tomogram_grid
 
 SPECIALS = [-0.0, 5e-324, 1e-300, 0.1, 1e16, 3.0, -2.5]
@@ -95,3 +96,108 @@ def test_json_bytes(tmp_path, k):
     cli._write_json(tmp_path / "got.json", payloads[k])
     reference_json(payloads[k], tmp_path / "want.json")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+# Row tables, written through cli.main; each reference is the per-row
+# f-string loop and json.dump that once wrote that file.
+FIDELITY_KEYS = ("f_alpha_beta", "f_alpha_cat_alpha", "f_alpha_cat_beta", "f_cat_cat", "f_mix")
+# Values on and next to 4-decimal rounding edges: the CSV writes "%.4f" and
+# the JSON writes round(v, 4). 0.03125 is an exact binary tie.
+EDGE_FIDELITIES = [
+    0.03125, 0.12345, np.nextafter(0.12345, 0.0), np.nextafter(0.12345, 1.0), 0.99995,
+    np.nextafter(0.99995, 1.0), 0.00005, 0.00015, 1.0, 0.0,
+    0.71155, 0.5616499999999999, 0.61835, 0.9999499999999999, 5e-324,
+]
+
+
+def reference_rows_csv(path, header, lines):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def reference_state(fmt, path):
+    s = linear_qcs(QcsParams(5, 0.8 - 0.3j))
+    if fmt == "csv":
+        lines = [f"{n},{c.real:.17g},{c.imag:.17g}" for n, c in enumerate(s.amps)]
+        reference_rows_csv(path, "n,re,im", lines)
+    else:
+        reference_json({"meta": "family=beta;dim=5;amp=0.8,-0.3", **s.to_json_dict()}, path)
+
+
+def reference_photon_dist(fmt, path):
+    params = QcsParams(7, 1.2 + 0.4j)
+    p_alpha = photon_distribution(nonlinear_qcs(params))
+    p_beta = photon_distribution(linear_qcs(params))
+    if fmt == "csv":
+        lines = [f"{n},{p_alpha[n]:.17g},{p_beta[n]:.17g}" for n in range(7)]
+        reference_rows_csv(path, "n,p_alpha,p_beta", lines)
+    else:
+        rows = [{"n": n, "p_alpha": p_alpha[n], "p_beta": p_beta[n]} for n in range(7)]
+        reference_json(rows, path)
+
+
+def reference_fidelity_table(fmt, path):
+    values = [float(v) for v in EDGE_FIDELITIES]
+    rows = [
+        {"d": d, **dict(zip(FIDELITY_KEYS, values[5 * i : 5 * i + 5]))}
+        for i, d in enumerate((2, 3, 4))
+    ]
+    if fmt == "csv":
+        lines = [
+            str(row["d"]) + "," + ",".join(f"{row[k]:.4f}" for k in FIDELITY_KEYS) for row in rows
+        ]
+        reference_rows_csv(path, "d," + ",".join(FIDELITY_KEYS), lines)
+    else:
+        reference_json(
+            [{"d": row["d"], **{k: round(row[k], 4) for k in FIDELITY_KEYS}} for row in rows],
+            path,
+        )
+
+
+def reference_volume_sweep(fmt, path):
+    rows = []
+    for frac in np.linspace(0.0, 2.0, 3):
+        params = QcsParams(2, frac * quasiperiod(2).value)
+        rows.append(
+            (
+                frac,
+                nonclassical_volume(nonlinear_qcs(params)),
+                nonclassical_volume(linear_qcs(params)),
+            )
+        )
+    if fmt == "csv":
+        lines = [f"{frac:.17g},{da:.17g},{db:.17g}" for frac, da, db in rows]
+        reference_rows_csv(path, "amp_over_period,delta_alpha,delta_beta", lines)
+    else:
+        reference_json(
+            [
+                {"amp_over_period": frac, "delta_alpha": da, "delta_beta": db}
+                for frac, da, db in rows
+            ],
+            path,
+        )
+
+
+ROW_TABLES = {
+    "state": (["state", "--dim", "5", "--family", "beta", "--amp", "0.8,-0.3"], reference_state),
+    "photon-dist": (["photon-dist", "--dim", "7", "--amp", "1.2,0.4"], reference_photon_dist),
+    "fidelity-table": (["fidelity-table", "--dims", "2,3,4"], reference_fidelity_table),
+    "volume-sweep": (["volume-sweep", "--dim", "2", "--n-points", "3"], reference_volume_sweep),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(ROW_TABLES))
+def test_row_table_bytes(tmp_path, monkeypatch, capsys, command, fmt):
+    if command == "fidelity-table":
+        # fidelity(...) x 4, then mixed_fidelity(...), per dimension
+        values = iter([float(v) for v in EDGE_FIDELITIES])
+        monkeypatch.setattr(cli, "fidelity", lambda a, b: next(values))
+        monkeypatch.setattr(cli, "mixed_fidelity", lambda a, b, c: next(values))
+    argv, reference = ROW_TABLES[command]
+    got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+    assert cli.main([*argv, "--format", fmt, "--out", str(got)]) == 0
+    reference(fmt, want)
+    assert got.read_bytes() == want.read_bytes()
