@@ -33,9 +33,6 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NONCONVERGENCE = 4
 
-_GRID_DIM_CAP = 32
-_SWEEP_DIM_CAP = 8
-
 FAMILIES = ("alpha", "beta", "cat-even", "cat-odd", "gamma")
 
 
@@ -192,10 +189,6 @@ def cmd_fidelity_table(ns: argparse.Namespace) -> int:
 
 
 def cmd_volume_sweep(ns: argparse.Namespace) -> int:
-    if ns.dim > _SWEEP_DIM_CAP:
-        raise ValueError(
-            f"volume sweep supports dim <= {_SWEEP_DIM_CAP} (quadrature cost), got {ns.dim}"
-        )
     if ns.n_points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {ns.n_points}")
     period = quasiperiod(ns.dim).value
@@ -215,8 +208,6 @@ def cmd_volume_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_wigner(ns: argparse.Namespace) -> int:
-    if ns.dim > _GRID_DIM_CAP:
-        raise ValueError(f"wigner grids support dim <= {_GRID_DIM_CAP}, got {ns.dim}")
     s = build_state(ns)
     w = ns.window
     window = None if w is None else (-w, w, -w, w)
@@ -225,8 +216,6 @@ def cmd_wigner(ns: argparse.Namespace) -> int:
 
 
 def cmd_tomogram(ns: argparse.Namespace) -> int:
-    if ns.dim > _GRID_DIM_CAP:
-        raise ValueError(f"tomogram grids support dim <= {_GRID_DIM_CAP}, got {ns.dim}")
     s = build_state(ns)
     _write_grid(ns, tomogram_grid(s, nq=ns.nq, ntheta=ns.ntheta, state_meta=_meta(ns)))
     return EXIT_OK

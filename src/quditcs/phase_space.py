@@ -65,19 +65,13 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Settings for square-window Simpson quadrature with refinement doubling.
+    """Simpson refinement settings: the tolerance between a grid's estimate and
+    its subgrid's, and the top rung of 128 * 2^max_refinements + 1 points."""
 
-    half_width of None means "choose from the state": outer_radius(dim) + 3.
-    """
-
-    half_width: float | None = None
-    base_points: int = 129
     tol: float = 1e-3
     max_refinements: int = 6
 
     def __post_init__(self):
-        if self.base_points < 17 or self.base_points % 2 == 0:
-            raise ValueError("base_points must be an odd integer >= 17")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_refinements < 0:
@@ -92,30 +86,47 @@ def _simpson_weights(xs: np.ndarray) -> np.ndarray:
     return sw * ((xs[-1] - xs[0]) / (3.0 * (xs.size - 1)))
 
 
-def _refine_simpson(dim: int, quad_spec: QuadratureSpec, integrate, what: str) -> float:
-    """Refine integrate(xs, simpson_weights) on a centered window covering
-    outer_radius(dim) + 3, doubling the points (n -> 2n - 1) until two
-    successive estimates agree within quad_spec.tol; return the last one.
+def _simpson_sums(values: np.ndarray, *weights: np.ndarray) -> list[float]:
+    """Weighted sums of values, sampled on a line or a square grid, one per weight vector."""
+    if values.ndim == 1:
+        return [float(w @ values) for w in weights]
+    return [float(w @ values @ w) for w in weights]
+
+
+def _refine_simpson(dim: int, quad_spec: QuadratureSpec, sample, what: str) -> float:
+    """Simpson integral of sample(xs), the integrand on the line or the square
+    grid of axis xs, over |x| <= outer_radius(dim) + 3.
+
+    Grids have 128 * 2^j + 1 points, j <= quad_spec.max_refinements, and the
+    first grid whose estimate agrees within quad_spec.tol with that of its
+    every-other-node subgrid gives the result. The first subgrid is the first
+    rung whose step is at most the Nyquist step pi / (2 sqrt(2) _reach(dim))
+    of W: two grids that both under-sample W can agree by chance (at d = 150
+    the 129- and 257-point volumes agree, and both are 0.04 off).
     """
-    needed = outer_radius(dim) + 3.0
-    hw = needed if quad_spec.half_width is None else float(quad_spec.half_width)
-    if hw < needed - 1e-9:
-        raise ValueError(
-            f"window half-width {hw} does not cover the required radius {needed}"
-        )
-    n = quad_spec.base_points
-    prev = None
-    for _ in range(quad_spec.max_refinements + 1):
-        xs = np.linspace(-hw, hw, n)
-        value = integrate(xs, _simpson_weights(xs))
-        if prev is not None and abs(value - prev) <= quad_spec.tol:
+    hw = outer_radius(dim) + 3.0
+    nyquist = math.pi / (2.0 * SQRT2 * _reach(dim))
+    first = 1  # rung of the first grid; its subgrid is one rung below
+    while 2.0 * hw / (64 << first) > nyquist:
+        first += 1
+    for j in range(first, quad_spec.max_refinements + 1):
+        xs = np.linspace(-hw, hw, (128 << j) + 1)
+        coarse = np.zeros(xs.size)  # the subgrid's weights, zero on odd nodes
+        coarse[::2] = _simpson_weights(xs[::2])
+        # sample(xs) is bound to no name, so each grid is freed before the next is sampled.
+        value, check = _simpson_sums(sample(xs), _simpson_weights(xs), coarse)
+        if abs(value - check) <= quad_spec.tol:
             return value
-        prev = value
-        n = 2 * n - 1
     raise ConvergenceError(
         f"{what} quadrature did not settle within tol={quad_spec.tol} "
-        f"after {quad_spec.max_refinements} refinements"
+        f"on grids of up to {(128 << quad_spec.max_refinements) + 1} points"
     )
+
+
+def _reach(d: int) -> float:
+    """sqrt(2d + 1) + 6, beyond which a d-level wavefunction is negligible in
+    x = sqrt(2) q and in sqrt(2) p."""
+    return math.sqrt(2.0 * d + 1.0) + 6.0
 
 
 def outer_radius(d: int) -> float:
@@ -249,7 +260,7 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     where psi = sum_n c_n psi_n. The integrand at -y is the conjugate of the
     one at y, so the trapezoid rule runs over y_k = k h, k >= 0, with weights
-    h, 2h, 2h, ... . psi is negligible beyond reach = sqrt(2d+1) + 6 in
+    h, 2h, 2h, ... . psi is negligible beyond reach = _reach(d) in
     position and in momentum, so rows with |x| > reach vanish, columns with
     sqrt(2)|p| > reach are left at zero, and h <= pi / (reach + sqrt(2)
     max|p|) keeps the rule free of aliasing. h is an integer multiple or an
@@ -260,7 +271,7 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     (rows x k) @ (k x columns) products with cos and sin tables.
     """
     d = amps.size
-    reach = math.sqrt(2.0 * d + 1.0) + 6.0
+    reach = _reach(d)
     values = np.zeros((qs.size, ps.size))
     rows = np.flatnonzero(SQRT2 * np.abs(qs) <= reach)
     cols = np.flatnonzero(SQRT2 * np.abs(ps) <= reach)
@@ -421,14 +432,11 @@ def nonclassical_volume(s: QuditState, quad_spec: QuadratureSpec = QuadratureSpe
     Zero exactly for states with nonnegative W (the integral is then the
     normalization); positive whenever W dips below zero. Computed by Simpson
     quadrature of the Weyl-transform grid (_weyl_grid) on a centered square
-    window, refined by doubling until two successive estimates agree within
-    quad_spec.tol.
+    window, refined by doubling until a grid and its subgrid agree within
+    quad_spec.tol (_refine_simpson).
     """
     integral = _refine_simpson(
-        s.dim,
-        quad_spec,
-        lambda xs, sw: float(sw @ np.abs(_weyl_grid(s.amps, xs, xs)) @ sw),
-        "volume",
+        s.dim, quad_spec, lambda xs: np.abs(_weyl_grid(s.amps, xs, xs)), "volume"
     )
     delta = integral - 1.0
     if delta < -2e-4:

@@ -137,16 +137,13 @@ def he_asymptotic(n: int, x):
     arr, scalar = _as_float_array(x)
     envelope = np.exp(arr * arr / 4.0)
     freq = math.sqrt(n + 0.5)
+    df = 1.0  # (n-1)!! for even n, n!! for odd n
+    for k in range(1, n + 1, 2):
+        df *= k
     if n % 2 == 0:
-        df = 1.0
-        for k in range(1, n, 2):
-            df *= k
         sign = 1.0 if (n // 2) % 2 == 0 else -1.0
         out = sign * df * envelope * np.cos(arr * freq)
     else:
-        df = 1.0
-        for k in range(2, n + 1, 2):
-            df *= k
         sign = -1.0 if ((n + 1) // 2) % 2 == 0 else 1.0
         out = sign * (df / math.sqrt(n)) * envelope * np.sin(arr * freq)
     return float(out) if scalar else out

@@ -38,7 +38,7 @@ __all__ = [
 # Tighter default than the Wigner-volume quadrature: the integrand here is a
 # smooth one-dimensional Gaussian-tailed slice, so refinement is cheap and the
 # cross-module agreement contract (1e-5) needs headroom.
-_MARGINAL_QUAD = QuadratureSpec(base_points=257, tol=1e-8, max_refinements=8)
+_MARGINAL_QUAD = QuadratureSpec(tol=1e-8, max_refinements=9)
 
 
 def _q_half_width(d: int) -> float:
@@ -72,17 +72,17 @@ def tomogram_from_wigner(
 
       w(q, theta) = (1/sqrt(2)) Int W(q' cos t - p sin t, q' sin t + p cos t) dp
 
-    with q' = q/sqrt(2). Simpson quadrature with refinement doubling; raises
-    if two successive refinements never agree within quad_spec.tol.
+    with q' = q/sqrt(2). Simpson quadrature with refinement doubling
+    (_refine_simpson); raises if no grid agrees with its subgrid within
+    quad_spec.tol.
     """
     qz = float(q) / math.sqrt(2.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
 
-    def line_integral(ps, sw):
-        line = wigner_values(s, qz * cos_t - ps * sin_t, qz * sin_t + ps * cos_t)
-        return float(sw @ line) / math.sqrt(2.0)
+    def line(ps):
+        return wigner_values(s, qz * cos_t - ps * sin_t, qz * sin_t + ps * cos_t) / math.sqrt(2.0)
 
-    return _refine_simpson(s.dim, quad_spec, line_integral, "marginal")
+    return _refine_simpson(s.dim, quad_spec, line, "marginal")
 
 
 @dataclass(frozen=True)

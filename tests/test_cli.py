@@ -236,14 +236,26 @@ def test_tiny_window_exit_codes(tmp_path):
 
 def test_domain_errors_exit_3(tmp_path):
     out = str(tmp_path / "x.csv")
-    assert run_cli("volume-sweep", "--dim", "9", "--out", out).returncode == 3
-    assert run_cli("wigner", "--dim", "33", "--out", out).returncode == 3
-    assert run_cli("tomogram", "--dim", "40", "--out", out).returncode == 3
+    # d = 151 is past the largest Hermite root table (special_fn.MAX_DEGREE).
+    assert run_cli("volume-sweep", "--dim", "151", "--out", out).returncode == 3
+    assert run_cli("wigner", "--dim", "151", "--out", out).returncode == 3
+    assert run_cli("tomogram", "--dim", "151", "--out", out).returncode == 3
     proc = run_cli("state", "--dim", "4", "--family", "cat-odd", "--amp", "0", "--out", out)
     assert proc.returncode == 3
     assert "error:" in proc.stderr
     # unwritable output path
     assert run_cli("state", "--dim", "2", "--out", "/no/such/dir/x.csv").returncode == 3
+
+
+def test_large_dimensions_run(tmp_path):
+    out = str(tmp_path / "x.csv")
+    for args in (
+        ("wigner", "--dim", "150", "--nq", "16", "--np", "16"),
+        ("tomogram", "--dim", "150", "--nq", "32", "--ntheta", "32"),
+        ("volume-sweep", "--dim", "11", "--n-points", "2"),
+    ):
+        proc = run_cli(*args, "--out", out)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_nonconvergence_exits_4(tmp_path, monkeypatch):

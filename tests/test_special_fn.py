@@ -105,6 +105,12 @@ def test_he_asymptotic_probes():
     assert abs(approx - exact) / abs(exact) < 0.01
 
 
+@pytest.mark.parametrize("n", [11, 21, 41])
+def test_he_asymptotic_odd_degree_scale(n):
+    # The odd-n amplitude is n!!/sqrt(n); (n-1)!! in its place reads 62% to 80% low.
+    assert he_asymptotic(n, 0.1) == pytest.approx(he_eval(n, 0.1), rel=0.03)
+
+
 def test_he_asymptotic_sign_changes_near_estimated_roots():
     # Interior roots of He_21 sit close to l*pi/sqrt(86) for small even l.
     d = 21

@@ -140,8 +140,6 @@ def test_marginal_route_cross_validation_spots():
 
 def test_marginal_route_validation():
     s = QuditState.basis(4, 1)
-    with pytest.raises(ValueError):
-        tomogram_from_wigner(s, 0.0, 0.0, QuadratureSpec(half_width=2.0))
     with pytest.raises(ConvergenceError):
         tomogram_from_wigner(s, 0.0, 0.0, QuadratureSpec(max_refinements=0))
 
@@ -223,14 +221,20 @@ def test_tomogram_grid_angle_resolved_normalization(d):
         assert np.max(np.abs(norms - 1.0)) <= 1e-4
 
 
-@pytest.mark.parametrize("d", [2, 8, 32, 64, 150])
-def test_tomogram_grid_rows_carry_unit_mass(d):
+@pytest.mark.parametrize(
+    "d, nq",
+    [(2, 801), (8, 801), (32, 801), (64, 801), (150, 801), (150, 261)],
+    ids=["2", "8", "32", "64", "150", "150-nq261"],
+)
+def test_tomogram_grid_rows_carry_unit_mass(d, nq):
     # Tomogram quadratures have vacuum variance 1/2, so the q window must
     # reach sqrt(2) times the Wigner-plane radius or the rows lose mass.
+    # At d = 150 the default 201 points leave a mass error of 0.087; 261
+    # points resolve the rows.
     for frac in (0.25, 0.5, 1.0, 2.0):
         p = QcsParams(d, frac * quasiperiod(d).value * complex(math.cos(0.3), math.sin(0.3)))
         for s in (nonlinear_qcs(p), linear_qcs(p)):
-            tomo = tomogram_grid(s, nq=801, ntheta=91)
+            tomo = tomogram_grid(s, nq=nq, ntheta=91)
             mass = np.trapezoid(tomo.values, tomo.q_grid, axis=1)
             assert np.max(np.abs(mass - 1.0)) <= 1e-8
 
