@@ -58,6 +58,10 @@ class PhasePoint:
     q: float
     p: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.q) and math.isfinite(self.p)):
+            raise ValueError(f"phase-space point must be finite, got q={self.q}, p={self.p}")
+
     @property
     def z(self) -> complex:
         return complex(self.q, self.p)
@@ -200,7 +204,11 @@ def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
 
 
 def wigner_values(s: QuditState, q, p) -> np.ndarray:
-    """W sampled at broadcastable arrays of quadrature coordinates."""
+    """W sampled at broadcastable arrays of finite quadrature coordinates."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise ValueError("Wigner coordinates must be finite")
     return _eval_wigner(s.amps, q, p)
 
 

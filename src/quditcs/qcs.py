@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, NullStateError
 from .fock import QuditState
-from .special_fn import he_roots, log_factorial_array, orthonormal_he_table
+from .special_fn import he_roots, log_factorial_array
+# Unused here, but the benchmark's traced mode wraps quditcs.qcs.orthonormal_he_table by name.
+from .special_fn import orthonormal_he_table
 
 __all__ = [
     "QcsParams",
@@ -93,15 +95,15 @@ def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
 
     c_n = e^{i n (phi0 - pi/2)} sum_k w_k p_n(x_k) e^{i x_k |alpha|}
 
-    over all roots x_k of He_d with Christoffel weights w_k. Mathematically
-    the vector is already normalized (it is a unitary's column), so its norm
-    deviates from 1 by rounding only; a deviation above _RAW_NORM_TOL means
-    the root table is wrong and raises ConvergenceError instead of being
-    renormalized away.
+    over all roots x_k of He_d with Christoffel weights w_k: one product of
+    the root table's cached matrix weighted[n, k] = w_k p_n(x_k) with the
+    vector e^{i x_k |alpha|}. Mathematically the vector is already
+    normalized (it is a unitary's column), so its norm deviates from 1 by
+    rounding only; a deviation above _RAW_NORM_TOL means the root table is
+    wrong and raises ConvergenceError instead of being renormalized away.
     """
     table = he_roots(d)
-    p = orthonormal_he_table(d - 1, table.roots)
-    phased = (p * table.christoffel) @ np.exp(1j * table.roots * modulus)
+    phased = table.weighted @ np.exp(1j * table.roots * modulus)
     n = np.arange(d)
     raw = np.exp(1j * n * (phi0 - 0.5 * math.pi)) * phased
     deviation = abs(np.linalg.norm(raw) - 1.0)

@@ -54,8 +54,14 @@ def _tomogram_rows(amps: np.ndarray, q: np.ndarray, thetas: np.ndarray) -> np.nd
     return rotated.real**2 + rotated.imag**2
 
 
+def _check_point(q: float, theta: float) -> None:
+    if not (math.isfinite(q) and math.isfinite(theta)):
+        raise ValueError(f"tomogram point must be finite, got q={q}, theta={theta}")
+
+
 def tomogram_closed_form(s: QuditState, q: float, theta: float) -> float:
     """w(q, theta) through the squared rotated wavefunction."""
+    _check_point(q, theta)
     return float(_tomogram_rows(s.amps, np.atleast_1d(float(q)), np.atleast_1d(float(theta)))[0, 0])
 
 
@@ -76,6 +82,7 @@ def tomogram_from_wigner(
     (_refine_simpson); raises if no grid agrees with its subgrid within
     quad_spec.tol.
     """
+    _check_point(q, theta)
     qz = float(q) / math.sqrt(2.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
 

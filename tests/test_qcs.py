@@ -21,7 +21,7 @@ from quditcs.qcs import (
     quasiperiod,
     _raw_coefficients,
 )
-from quditcs.special_fn import HermiteRootTable, he_eval, he_roots
+from quditcs.special_fn import HermiteRootTable, he_eval, he_roots, orthonormal_he_table
 
 
 def test_quasiperiod_values():
@@ -102,6 +102,28 @@ def test_raw_coefficients_reject_a_corrupted_root_table(monkeypatch):
     monkeypatch.setattr(qcs, "he_roots", lambda d: bad)
     with pytest.raises(ConvergenceError):
         nonlinear_qcs(QcsParams(12, 1.3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 75, 150])
+def test_cached_weighted_table_gives_the_per_call_bits(d):
+    # Reference: the weighted table rebuilt on every call, as before it was cached.
+    table = he_roots(d)
+    weighted = orthonormal_he_table(d - 1, table.roots) * table.christoffel
+    n = np.arange(d)
+    for amp in (0.37, 1.7 * cmath.exp(0.6j), 5.2 - 2.1j):
+        params = QcsParams(d, amp)
+        phased = weighted @ np.exp(1j * table.roots * params.modulus)
+        raw = np.exp(1j * n * (params.phi0 - 0.5 * math.pi)) * phased
+        expected = QuditState.from_amplitudes(raw).amps
+        assert nonlinear_qcs(params).amps.tobytes() == expected.tobytes()
+        raw0 = np.exp(1j * n * (-0.5 * math.pi)) * (weighted @ np.exp(1j * table.roots * abs(amp)))
+        even, odd = parity_coefficients(d, abs(amp))
+        assert even.tobytes() == np.where(n % 2 == 0, raw0, 0.0).tobytes()
+        assert odd.tobytes() == np.where(n % 2 == 0, 0.0, raw0).tobytes()
+    assert table.weighted is he_roots(d).weighted
+    assert not table.weighted.flags.writeable
+    with pytest.raises(ValueError):
+        table.weighted[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("d", [2, 4, 7, 12])

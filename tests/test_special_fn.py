@@ -80,6 +80,26 @@ def test_orthonormal_table_matches_scalar_path():
         np.testing.assert_allclose(table[n], orthonormal_he_eval(n, x), rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 149])
+def test_one_point_recurrence_gives_the_bits_of_its_column(n_max):
+    # A single point steps on floats; it must match the array path bit for bit,
+    # also where the Gaussian seed underflows (x = 40).
+    xs = np.array([0.0, -0.7, 3.3, 40.0])
+    for build in (orthonormal_he_table, hermite_function_table):
+        table = build(n_max, xs)
+        for j, x in enumerate(xs):
+            for arg in (x, [x], np.array([[x]])):
+                one = build(n_max, arg)
+                assert one.shape == (n_max + 1,) + np.shape(np.atleast_1d(arg))
+                assert one.reshape(n_max + 1).tobytes() == table[:, j].tobytes()
+    top = orthonormal_he_table(n_max, xs)[n_max]
+    for j, x in enumerate(xs):
+        value = orthonormal_he_eval(n_max, float(x))
+        assert type(value) is float
+        assert np.float64(value).tobytes() == top[j].tobytes()
+        assert orthonormal_he_eval(n_max, [x]).shape == (1,)
+
+
 def test_orthonormal_high_degree_against_mpmath():
     # p_100(1/2) from 60-digit arithmetic; the recurrence must hold 1e-9.
     with mpmath.workdps(60):

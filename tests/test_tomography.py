@@ -8,7 +8,13 @@ import pytest
 
 from quditcs.errors import ConvergenceError
 from quditcs.fock import QuditState
-from quditcs.phase_space import QuadratureSpec
+from quditcs.phase_space import (
+    PhasePoint,
+    QuadratureSpec,
+    wigner_fock,
+    wigner_state,
+    wigner_values,
+)
 from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
 from quditcs.special_fn import hermite_function_table
 from quditcs.tomography import (
@@ -287,3 +293,23 @@ def test_tomogram_csv_and_json(tmp_path):
     assert payload["state_meta"] == "one-photon"
     assert len(payload["values"]) == 32
     assert isinstance(tomo, Tomogram)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda s: tomogram_closed_form(s, math.nan, 0.3),
+        lambda s: tomogram_closed_form(s, 0.3, math.inf),
+        lambda s: tomogram_from_wigner(s, math.nan, 0.3),
+        lambda s: tomogram_from_wigner(s, 0.3, -math.inf),
+        lambda s: wigner_state(s, PhasePoint(math.inf, 0.0)),
+        lambda s: wigner_values(s, [math.nan], [0.0]),
+        lambda s: wigner_values(s, [0.0, 1.0], [0.0, -math.inf]),
+        lambda s: wigner_fock(3, PhasePoint(math.nan, 0.0)),
+    ],
+    ids=["closed_q", "closed_theta", "marginal_q", "marginal_theta",
+         "state", "values_q", "values_p", "fock"],
+)
+def test_non_finite_point_raises(query):
+    with pytest.raises(ValueError, match="finite"):
+        query(nonlinear_qcs(QcsParams(4, 1.1)))
