@@ -16,8 +16,12 @@ and O(d^2) arithmetic per point. Grids (wigner_grid) and the
 nonclassical-volume quadrature (integrated |W| minus one) instead sample the
 wavefunction once and take its Weyl transform as one matrix product, whose
 cost does not grow with d; the Laguerre sweep stays their reference in the
-tests. The module also hosts the grid CSV writer (_write_grid_csv), which
-the tomogram shares; JSON files are written by cli._write_json.
+tests. What that transform needs besides the amplitudes (node layout, psi_n
+table, weights, cos/sin table) depends only on d and the two axes; it is a
+plan cached for the last few grids (_weyl_plan), so the states of one
+volume sweep, which all refine on the same ladder of grids, build it once.
+The module also hosts the grid CSV writer (_write_grid_csv), which the
+tomogram shares; JSON files are written by cli._write_json.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError
 from .fock import QuditState
@@ -91,10 +97,12 @@ def _simpson_weights(xs: np.ndarray) -> np.ndarray:
 
 
 def _simpson_sums(values: np.ndarray, *weights: np.ndarray) -> list[float]:
-    """Weighted sums of values, sampled on a line or a square grid, one per weight vector."""
+    """Weighted sums of values, sampled on a line or a square grid, one per
+    weight vector; a grid is read once, by one (len(weights), n) @ grid pass."""
+    w = np.array(weights)
     if values.ndim == 1:
-        return [float(w @ values) for w in weights]
-    return [float(w @ values @ w) for w in weights]
+        return (w @ values).tolist()
+    return [float(a @ b) for a, b in zip(w @ values, w)]
 
 
 def _refine_simpson(dim: int, quad_spec: QuadratureSpec, sample, what: str) -> float:
@@ -106,13 +114,20 @@ def _refine_simpson(dim: int, quad_spec: QuadratureSpec, sample, what: str) -> f
     every-other-node subgrid gives the result. The first subgrid is the first
     rung whose step is at most the Nyquist step pi / (2 sqrt(2) _reach(dim))
     of W: two grids that both under-sample W can agree by chance (at d = 150
-    the 129- and 257-point volumes agree, and both are 0.04 off).
+    the 129- and 257-point volumes agree, and both are 0.04 off). A
+    max_refinements below that first rung raises ValueError before any grid
+    is sampled; ConvergenceError means the sampled grids did not settle.
     """
     hw = outer_radius(dim) + 3.0
     nyquist = math.pi / (2.0 * SQRT2 * _reach(dim))
     first = 1  # rung of the first grid; its subgrid is one rung below
     while 2.0 * hw / (64 << first) > nyquist:
         first += 1
+    if quad_spec.max_refinements < first:
+        raise ValueError(
+            f"{what} quadrature at d={dim} starts on the {(128 << first) + 1}-point "
+            f"grid and needs max_refinements >= {first}, got {quad_spec.max_refinements}"
+        )
     for j in range(first, quad_spec.max_refinements + 1):
         xs = np.linspace(-hw, hw, (128 << j) + 1)
         coarse = np.zeros(xs.size)  # the subgrid's weights, zero on odd nodes
@@ -258,8 +273,104 @@ def wigner_mixture(s: QuditState, pt: PhasePoint) -> float:
     return float(TWO_OVER_PI * (np.abs(s.amps) ** 2 @ diagonal))
 
 
+# Weyl plans kept at once. A volume sweep evaluates the same two or three
+# rungs for every state of one d; a larger bound would only hold more memory
+# (the plans of a d = 150 sweep's 2049- and 4097-point rungs take 50 MB).
+_WEYL_PLAN_CACHE = 4
+
+
+@dataclass(frozen=True)
+class _WeylPlan:
+    """Everything of a Weyl grid (_weyl_grid) that depends only on d and the axes.
+
+    psi is sampled on n_nodes nodes, of which those in `inside` lie within
+    reach and take their values from `table` (psi_n at those nodes, d rows).
+    plus and minus locate psi(x_i + y_k) and psi(x_i - y_k) in that sample
+    as (offset, row step, column step), in nodes. weights are the trapezoid
+    weights in y with 2/pi folded in, and trig interleaves cos and -sin of
+    the phases 2 sqrt(2) p_j y_k, so that trig row 2k + 1 meets the
+    imaginary part of kernel column k when the complex kernel is read as
+    real pairs. Every array is read-only.
+    """
+
+    rows: slice
+    cols: slice
+    n_nodes: int
+    inside: np.ndarray
+    table: np.ndarray
+    plus: tuple[int, int, int]
+    minus: tuple[int, int, int]
+    weights: np.ndarray
+    trig: np.ndarray
+
+
+@lru_cache(maxsize=_WEYL_PLAN_CACHE)
+def _weyl_plan(d: int, q_bytes: bytes, p_bytes: bytes) -> _WeylPlan | None:
+    """The plan of a d-level grid on the axes whose float64 bytes are given;
+    None when no row or column lies within reach, so the grid is all zeros."""
+    qs = np.frombuffer(q_bytes)
+    ps = np.frombuffer(p_bytes)
+    reach = _reach(d)
+    rows = np.flatnonzero(SQRT2 * np.abs(qs) <= reach)
+    cols = np.flatnonzero(SQRT2 * np.abs(ps) <= reach)
+    if rows.size == 0 or cols.size == 0:
+        return None
+    rows = slice(int(rows[0]), int(rows[-1]) + 1)
+    cols = slice(int(cols[0]), int(cols[-1]) + 1)
+    n_rows = rows.stop - rows.start
+    h_max = math.pi / (reach + SQRT2 * np.max(np.abs(ps[cols])))
+    half_dx = (qs[-1] - qs[0]) / ((qs.size - 1) * SQRT2)
+    if half_dx <= h_max:
+        fine, stride = 1, float(int(h_max / half_dx))
+    else:
+        fine, stride = math.ceil(half_dx / h_max), 1.0
+    step = half_dx / fine
+    ks = np.arange(int(reach / (stride * step)) + 1)
+    # Node j of the fine sample sits at x0 + j * step. Node indices are
+    # floats: a window far narrower than h puts them past int64, and below
+    # 2**53 they are exact.
+    x0 = SQRT2 * qs[rows.start]
+    lo, hi = -stride * ks[-1], 2.0 * fine * (n_rows - 1) + stride * ks[-1]
+    if hi - lo + 1 <= 2 * n_rows * ks.size:
+        # x_i +- y_k are nodes -lo + 2 fine i +- stride k of one dense sample.
+        nodes = np.arange(lo, hi + 1)
+        plus = (int(-lo), 2 * fine, int(stride))
+        minus = (int(-lo), 2 * fine, -int(stride))
+    else:
+        # A window much narrower than h: sample psi at the kernel's points.
+        centre = 2.0 * fine * np.arange(n_rows)[:, None]
+        nodes = np.concatenate([(centre + stride * ks).ravel(), (centre - stride * ks).ravel()])
+        plus = (0, ks.size, 1)
+        minus = (n_rows * ks.size, ks.size, 1)
+    x = x0 + nodes * step
+    inside = np.flatnonzero(np.abs(x) <= reach)
+    table = hermite_function_table(d - 1, x[inside])
+    h = stride * step
+    weights = np.full(ks.size, TWO_OVER_PI * (2.0 * h))
+    weights[0] = TWO_OVER_PI * h
+    phase = (2.0 * SQRT2 * h) * np.outer(ks, ps[cols])
+    trig = np.empty((ks.size, 2, phase.shape[1]))
+    np.cos(phase, out=trig[:, 0])
+    np.sin(phase, out=trig[:, 1])
+    trig[:, 1] *= -1.0
+    trig = trig.reshape(2 * ks.size, -1)
+    for a in (inside, table, weights, trig):
+        a.flags.writeable = False
+    return _WeylPlan(
+        rows=rows,
+        cols=cols,
+        n_nodes=nodes.size,
+        inside=inside,
+        table=table,
+        plus=plus,
+        minus=minus,
+        weights=weights,
+        trig=trig,
+    )
+
+
 def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """values[i, j] = W(qs[i], ps[j]) for a uniform q axis and any p axis.
+    """values[i, j] = W(qs[i], ps[j]) for a uniform q axis and a monotonic p axis.
 
     Pure-state Weyl transform (the route of QuTiP's wigner; Johansson, Nation
     & Nori, Comput. Phys. Commun. 183, 1760 (2012)). With x = sqrt(2) q,
@@ -275,52 +386,38 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     integer fraction of half the x-step, so every x_i +- y_k is a node of
     one fine psi sample; when that sample would hold more nodes than the
     kernel has entries (a window much narrower than h), psi is evaluated at
-    the kernel's points directly. The sum over k is then two real
-    (rows x k) @ (k x columns) products with cos and sin tables.
+    the kernel's points directly.
+
+    All of this depends on d and the axes only, so it lives in a _WeylPlan,
+    cached per (d, qs, ps) by _weyl_plan: the node layout, the psi_n table
+    at the nodes, the weights and the cos/sin table. A volume sweep's states
+    share the plans of its rungs. Per state, a grid costs one amps @ table
+    for psi, the kernel psi*(x+y) psi(x-y) read through strided views of
+    psi, and one real (rows x 2k) @ (2k x columns) product that sums over k
+    straight into the returned array, which is always a new one.
     """
-    d = amps.size
-    reach = _reach(d)
     values = np.zeros((qs.size, ps.size))
-    rows = np.flatnonzero(SQRT2 * np.abs(qs) <= reach)
-    cols = np.flatnonzero(SQRT2 * np.abs(ps) <= reach)
-    if rows.size == 0 or cols.size == 0:
+    plan = _weyl_plan(amps.size, qs.tobytes(), ps.tobytes())
+    if plan is None:
         return values
-    h_max = math.pi / (reach + SQRT2 * np.max(np.abs(ps[cols])))
-    half_dx = (qs[-1] - qs[0]) / ((qs.size - 1) * SQRT2)
-    if half_dx <= h_max:
-        fine, stride = 1, float(int(h_max / half_dx))
-    else:
-        fine, stride = math.ceil(half_dx / h_max), 1.0
-    step = half_dx / fine
-    ks = np.arange(int(reach / (stride * step)) + 1)
-    # Node j of the fine sample sits at x0 + j * step. Node indices are
-    # floats: a window far narrower than h puts them past int64, and below
-    # 2**53 they are exact.
-    x0 = SQRT2 * qs[rows[0]]
-    centre = 2.0 * fine * np.arange(rows.size)[:, None]
-    plus = centre + stride * ks
-    minus = centre - stride * ks
-    lo, hi = minus[0, -1], plus[-1, -1]
+    psi = np.zeros(plan.n_nodes, dtype=complex)
+    psi[plan.inside] = amps @ plan.table
+    shape = (plan.rows.stop - plan.rows.start, plan.weights.size)
 
-    def sample(j):
-        x = x0 + j * step
-        inside = np.abs(x) <= reach
-        psi = np.zeros(x.shape, dtype=complex)
-        psi[inside] = amps @ hermite_function_table(d - 1, x[inside])
-        return psi
+    # Entry (i, k) of a view is psi[offset + row_step i + col_step k]; the
+    # plan's steps keep every such index within [0, n_nodes).
+    def view(offset, row_step, col_step):
+        return as_strided(
+            psi[offset:],
+            shape,
+            (row_step * psi.itemsize, col_step * psi.itemsize),
+            writeable=False,
+        )
 
-    if hi - lo + 1 <= 2 * plus.size:
-        psi = sample(np.arange(lo, hi + 1))
-        kernel = np.conj(psi[(plus - lo).astype(int)]) * psi[(minus - lo).astype(int)]
-    else:
-        kernel = np.conj(sample(plus)) * sample(minus)
-    h = stride * step
-    weights = np.full(ks.size, 2.0 * h)
-    weights[0] = h
-    phase = (2.0 * SQRT2 * h) * np.outer(ks, ps[cols])
-    kernel *= TWO_OVER_PI * weights
-    block = kernel.real @ np.cos(phase) - kernel.imag @ np.sin(phase)
-    values[rows[0] : rows[-1] + 1, cols] = block
+    kernel = np.conjugate(view(*plan.plus), out=np.empty(shape, dtype=complex))
+    kernel *= view(*plan.minus)
+    kernel *= plan.weights
+    np.matmul(kernel.view(float), plan.trig, out=values[plan.rows, plan.cols])
     return values
 
 
@@ -443,9 +540,11 @@ def nonclassical_volume(s: QuditState, quad_spec: QuadratureSpec = QuadratureSpe
     window, refined by doubling until a grid and its subgrid agree within
     quad_spec.tol (_refine_simpson).
     """
-    integral = _refine_simpson(
-        s.dim, quad_spec, lambda xs: np.abs(_weyl_grid(s.amps, xs, xs)), "volume"
-    )
+    def abs_grid(xs):
+        values = _weyl_grid(s.amps, xs, xs)
+        return np.abs(values, out=values)
+
+    integral = _refine_simpson(s.dim, quad_spec, abs_grid, "volume")
     delta = integral - 1.0
     if delta < -2e-4:
         raise ConvergenceError(f"quadrature lost probability mass: integral {integral:.6g}")

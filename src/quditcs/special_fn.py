@@ -10,7 +10,7 @@ p_n = He_n / sqrt(n!), which stays O(1) where the raw polynomials overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -175,19 +175,31 @@ class HermiteRootTable:
 
     weighted[n, k] = p_n(roots[k]) * christoffel[k] for n < degree, the
     matrix that maps e^{i x_k t} to the displacement coefficients. It is
-    built from this table's own roots and weights on first access and kept,
-    read-only, with the table (so he_roots' cache holds one per degree).
+    kept, read-only, with the table (so he_roots' cache holds one per
+    degree). he_roots passes the p_n(roots) table it built for the weights
+    as polys, from which weighted is made at once; a table built without
+    polys makes it from its own roots on first access. Both give the same
+    bits.
     """
 
     degree: int
     roots: np.ndarray
     christoffel: np.ndarray
+    polys: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, polys):
+        if polys is not None:
+            # Fills the slot that the cached_property below reads first.
+            self.__dict__["weighted"] = self._weight(polys)
+
+    def _weight(self, polys: np.ndarray) -> np.ndarray:
+        table = polys * self.christoffel
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def weighted(self) -> np.ndarray:
-        table = orthonormal_he_table(self.degree - 1, self.roots) * self.christoffel
-        table.flags.writeable = False
-        return table
+        return self._weight(orthonormal_he_table(self.degree - 1, self.roots))
 
 
 @lru_cache(maxsize=None)
@@ -217,6 +229,7 @@ def he_roots(d: int) -> HermiteRootTable:
     if d == 1:
         roots = np.zeros(1)
         weights = np.ones(1)
+        p = np.ones((1, 1))
     else:
         off = np.sqrt(np.arange(1.0, d))
         try:
@@ -232,7 +245,7 @@ def he_roots(d: int) -> HermiteRootTable:
         weights = 1.0 / np.sum(p * p, axis=0)
     roots.flags.writeable = False
     weights.flags.writeable = False
-    return HermiteRootTable(degree=d, roots=roots, christoffel=weights)
+    return HermiteRootTable(degree=d, roots=roots, christoffel=weights, polys=p)
 
 
 def laguerre_eval(k: int, m: int, x):

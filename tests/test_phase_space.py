@@ -273,8 +273,26 @@ def test_nonclassical_volume_validation():
     s = QuditState.basis(4, 1)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ValueError, match="max_refinements >= 1"):
         nonclassical_volume(s, QuadratureSpec(max_refinements=0))
+    # One grid, the first rung, that cannot meet the tolerance.
+    with pytest.raises(ConvergenceError):
+        nonclassical_volume(s, QuadratureSpec(tol=1e-300, max_refinements=1))
+
+
+@pytest.mark.parametrize("d, max_refinements, first", [(150, 3, 4), (2, 0, 1), (40, 0, 3)])
+def test_refinement_budget_below_the_first_rung_is_a_value_error(
+    d, max_refinements, first, monkeypatch
+):
+    # The budget is checked against the state's first rung before any grid
+    # is sampled, and the message names that rung.
+    def no_grid(amps, qs, ps):
+        raise AssertionError("a grid was sampled")
+
+    monkeypatch.setattr(phase_space, "_weyl_grid", no_grid)
+    s = QuditState.basis(d, 1)
+    with pytest.raises(ValueError, match=f"{(128 << first) + 1}-point grid.*>= {first}, got"):
+        nonclassical_volume(s, QuadratureSpec(max_refinements=max_refinements))
 
 
 @pytest.mark.parametrize("n", [17, 129, 257, 1025, 4097])
@@ -369,6 +387,67 @@ def test_nonclassical_volume_matches_laguerre_route(d, monkeypatch):
     )
     assert fast > 0.0
     assert abs(fast - nonclassical_volume(s)) <= 1e-10
+
+
+def test_weyl_plan_cache_bound_is_a_small_constant():
+    assert phase_space._WEYL_PLAN_CACHE == 4
+    assert phase_space._weyl_plan.cache_info().maxsize == phase_space._WEYL_PLAN_CACHE
+
+
+def test_weyl_plan_cache_key_separates_dimensions_and_windows():
+    # Interleaved: one window at two dimensions, and one nq with two windows.
+    # Each warm grid must carry the bits of the same grid built cold.
+    s3, s9 = _random_state(3, 703), _random_state(9, 709)
+    w1, w2 = (-4.0, 4.0, -3.5, 4.5), (-2.0, 5.0, -5.0, 1.0)
+    calls = [(s3, w1), (s9, w1), (s3, w2), (s9, w1), (s3, w1), (s3, w2), (s9, w2)]
+    phase_space._weyl_plan.cache_clear()
+    warm = [wigner_grid(s, window=w, nq=37, npts=29).values for s, w in calls]
+    assert phase_space._weyl_plan.cache_info().hits == 3
+    for (s, w), values in zip(calls, warm):
+        phase_space._weyl_plan.cache_clear()
+        assert wigner_grid(s, window=w, nq=37, npts=29).values.tobytes() == values.tobytes()
+
+
+def test_volume_with_a_warm_plan_cache_equals_a_cold_one():
+    s = nonlinear_qcs(QcsParams(5, 0.41 * quasiperiod(5).value))
+    other = linear_qcs(QcsParams(3, 0.7 * quasiperiod(3).value))
+    phase_space._weyl_plan.cache_clear()
+    cold = nonclassical_volume(s)
+    nonclassical_volume(other)
+    hits = phase_space._weyl_plan.cache_info().hits
+    warm = nonclassical_volume(s)
+    assert phase_space._weyl_plan.cache_info().hits > hits
+    assert warm > 0.0
+    assert warm.hex() == cold.hex()
+
+
+def test_grids_share_no_memory_with_the_plan_cache(monkeypatch):
+    s = _random_state(5, 57)
+    first = wigner_grid(s, nq=33, npts=31).values
+    second = wigner_grid(s, nq=33, npts=31).values
+    expected = second.copy()
+    first[...] = 7.0
+    assert not np.shares_memory(first, second)
+    assert second.tobytes() == expected.tobytes()
+    assert wigner_grid(s, nq=33, npts=31).values.tobytes() == expected.tobytes()
+
+    # nonclassical_volume takes |W| in place; no cached plan array may see it.
+    plans = []
+    cached = phase_space._weyl_plan
+
+    def recording(*key):
+        plans.append(cached(*key))
+        return plans[-1]
+
+    monkeypatch.setattr(phase_space, "_weyl_plan", recording)
+    v = nonlinear_qcs(QcsParams(4, 0.5 * quasiperiod(4).value))
+    volume = nonclassical_volume(v)
+    arrays = [a for plan in plans for a in vars(plan).values() if isinstance(a, np.ndarray)]
+    snapshot = [a.copy() for a in arrays]
+    assert nonclassical_volume(v) == volume
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    for a, b in zip(arrays, snapshot):
+        assert a.tobytes() == b.tobytes()
 
 
 def _mp_wigner(amps: np.ndarray, q: float, p: float, diagonal_only: bool = False) -> float:

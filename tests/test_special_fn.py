@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
+from quditcs import special_fn
 from quditcs.special_fn import (
     MAX_DEGREE,
+    HermiteRootTable,
     LogFactorialCache,
     he_asymptotic,
     he_eval,
@@ -174,6 +176,29 @@ def test_he_roots_are_polynomial_zeros(d):
     resid = he_eval(d, table.roots)
     deriv = d * he_eval(d - 1, table.roots)  # He_d' = d He_{d-1}
     assert np.max(np.abs(resid / deriv)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 150])
+def test_he_roots_builds_its_polynomial_table_once(d, monkeypatch):
+    # he_roots hands the p_n(roots) table of its weights to the root table,
+    # so the weighted table costs no second recurrence; a hand-built table
+    # makes the same bits on first access.
+    calls = []
+    recurrence = special_fn.orthonormal_he_table
+
+    def counting(n_max, x):
+        calls.append(n_max)
+        return recurrence(n_max, x)
+
+    monkeypatch.setattr(special_fn, "orthonormal_he_table", counting)
+    table = he_roots.__wrapped__(d)
+    built = len(calls)
+    weighted = table.weighted
+    assert len(calls) == built
+    assert not weighted.flags.writeable
+    by_hand = HermiteRootTable(degree=d, roots=table.roots, christoffel=table.christoffel)
+    assert by_hand.weighted.tobytes() == weighted.tobytes()
+    assert len(calls) == built + 1
 
 
 def test_he_roots_central_spacing_estimate_d21():

@@ -146,8 +146,10 @@ def test_marginal_route_cross_validation_spots():
 
 def test_marginal_route_validation():
     s = QuditState.basis(4, 1)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ValueError, match="max_refinements >= 1"):
         tomogram_from_wigner(s, 0.0, 0.0, QuadratureSpec(max_refinements=0))
+    with pytest.raises(ConvergenceError):
+        tomogram_from_wigner(s, 0.0, 0.0, QuadratureSpec(tol=1e-300, max_refinements=1))
 
 
 def test_series_family_tomogram_symmetries():
