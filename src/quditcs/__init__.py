@@ -50,7 +50,6 @@ from .qcs import (
 )
 from .special_fn import (
     HermiteRootTable,
-    LogFactorialCache,
     he_asymptotic,
     he_eval,
     he_roots,

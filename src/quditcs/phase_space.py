@@ -173,7 +173,12 @@ def _kernel_sweep(d: int, r2: np.ndarray):
     through logs so no factor overflows, and R_0[0] = e^{-2|z|^2} exactly.
     Each step in k is the three-term recurrence for every m at once, with
     (-1)^k folded in.
+
+    |z|^2 is capped at 1e300: every block has underflowed to 0 long before,
+    and past the cap 4|z|^2 (or q^2 + p^2 itself) would overflow and the
+    blocks would turn to NaN instead.
     """
+    r2 = np.minimum(r2, 1e300)
     m = np.arange(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g = np.outer(m, np.log(2.0 * np.sqrt(r2))) - 2.0 * r2

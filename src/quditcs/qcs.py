@@ -101,13 +101,20 @@ def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
     normalized (it is a unitary's column), so its norm deviates from 1 by
     rounding only; a deviation above _RAW_NORM_TOL means the root table is
     wrong and raises ConvergenceError instead of being renormalized away.
+    A non-finite deviation means x_k |alpha| overflowed, and raises
+    ValueError.
     """
     table = he_roots(d)
     phased = table.weighted @ np.exp(1j * table.roots * modulus)
     n = np.arange(d)
     raw = np.exp(1j * n * (phi0 - 0.5 * math.pi)) * phased
     deviation = abs(np.linalg.norm(raw) - 1.0)
-    if deviation > _RAW_NORM_TOL:
+    if not deviation <= _RAW_NORM_TOL:
+        if not math.isfinite(deviation):
+            raise ValueError(
+                f"displacement coefficients at d={d}, |alpha|={modulus} are not "
+                f"finite: the root phases x_k |alpha| overflow"
+            )
         raise ConvergenceError(
             f"displacement coefficients at d={d}, |alpha|={modulus} have norm "
             f"off 1 by {deviation:.3g}; the Hermite root table is inaccurate"
@@ -234,10 +241,14 @@ def parity_coefficients(d: int, alpha_mod: float):
 
     Returns (even_part, odd_part): the unnormalized coefficient vector of
     _raw_coefficients with its odd-index, respectively even-index, entries
-    set to zero, so the two parts sum to it.
+    set to zero, so the two parts sum to it. A negative or non-finite
+    modulus raises ValueError, and so does one large enough that the root
+    phases x_k * alpha_mod overflow (past about 7.6e306 at d = 150).
     """
-    if alpha_mod < 0:
-        raise ValueError(f"amplitude modulus must be nonnegative, got {alpha_mod}")
+    if not 0.0 <= alpha_mod < math.inf:
+        raise ValueError(
+            f"amplitude modulus must be finite and nonnegative, got {alpha_mod}"
+        )
     raw = _raw_coefficients(d, alpha_mod, 0.0)
     even = np.arange(d) % 2 == 0
     return np.where(even, raw, 0.0), np.where(even, 0.0, raw)

@@ -5,13 +5,17 @@ The probabilists' family He_n is the one orthogonal under the standard
 normal weight exp(-x^2/2); everything downstream (coefficient expansions,
 quadrature weights) is phrased in terms of the orthonormal version
 p_n = He_n / sqrt(n!), which stays O(1) where the raw polynomials overflow.
+
+Each table has one builder: he_roots makes the root, Christoffel-weight and
+weighted-polynomial arrays of a degree together (cached per degree), and
+log_factorial_array makes the ln(n!) table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +24,6 @@ from .errors import ConvergenceError
 __all__ = [
     "MAX_DEGREE",
     "HermiteRootTable",
-    "LogFactorialCache",
     "he_asymptotic",
     "he_eval",
     "he_roots",
@@ -140,66 +143,43 @@ def he_zero(n: int) -> float:
 def he_asymptotic(n: int, x):
     """Large-n oscillatory approximation of He_n near x = 0.
 
-    Even n:  (-1)^(n/2) (n-1)!! e^(x^2/4) cos(x sqrt(n + 1/2))
-    Odd n:  -(-1)^((n+1)/2) (n!!/sqrt(n)) e^(x^2/4) sin(x sqrt(n + 1/2))
+    Even n:  He_n(0) e^(x^2/4) cos(x sqrt(n + 1/2))
+    Odd n:  -(He_{n+1}(0)/sqrt(n)) e^(x^2/4) sin(x sqrt(n + 1/2))
 
-    Useful only as a cross-check of root locations; production code always
-    evaluates the exact recurrence.
+    with He_n(0) from he_zero. Useful only as a cross-check of root
+    locations; production code always evaluates the exact recurrence.
     """
     if n < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n}")
     arr, scalar = _as_float_array(x)
     envelope = np.exp(arr * arr / 4.0)
     freq = math.sqrt(n + 0.5)
-    df = 1.0  # (n-1)!! for even n, n!! for odd n
-    for k in range(1, n + 1, 2):
-        df *= k
     if n % 2 == 0:
-        sign = 1.0 if (n // 2) % 2 == 0 else -1.0
-        out = sign * df * envelope * np.cos(arr * freq)
+        out = he_zero(n) * envelope * np.cos(arr * freq)
     else:
-        sign = -1.0 if ((n + 1) // 2) % 2 == 0 else 1.0
-        out = sign * (df / math.sqrt(n)) * envelope * np.sin(arr * freq)
+        out = (-he_zero(n + 1) / math.sqrt(n)) * envelope * np.sin(arr * freq)
     return float(out) if scalar else out
 
 
 @dataclass(frozen=True)
 class HermiteRootTable:
-    """Roots of He_degree together with their Christoffel weights.
+    """Roots of He_d, their Christoffel weights, and the weighted polynomial
+    matrix, all read-only; d = roots.size.
 
-    christoffel[k] = 1 / sum_{n<degree} p_n(roots[k])^2, the Christoffel
-    function at the root; by Christoffel-Darboux this equals
-    1 / (degree * p_{degree-1}(roots[k])^2). The weights are positive, sum
-    to 1, and double as |<0|x_k>|^2 for the normalized eigenbasis of the
-    truncated position operator.
+    christoffel[k] = 1 / sum_{n<d} p_n(roots[k])^2, the Christoffel function
+    at the root; by Christoffel-Darboux this equals
+    1 / (d * p_{d-1}(roots[k])^2). The weights are positive, sum to 1, and
+    double as |<0|x_k>|^2 for the normalized eigenbasis of the truncated
+    position operator.
 
-    weighted[n, k] = p_n(roots[k]) * christoffel[k] for n < degree, the
-    matrix that maps e^{i x_k t} to the displacement coefficients. It is
-    kept, read-only, with the table (so he_roots' cache holds one per
-    degree). he_roots passes the p_n(roots) table it built for the weights
-    as polys, from which weighted is made at once; a table built without
-    polys makes it from its own roots on first access. Both give the same
-    bits.
+    weighted[n, k] = p_n(roots[k]) * christoffel[k] for n < d, the matrix
+    that maps e^{i x_k t} to the displacement coefficients; he_roots' cache
+    holds one per degree.
     """
 
-    degree: int
     roots: np.ndarray
     christoffel: np.ndarray
-    polys: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, polys):
-        if polys is not None:
-            # Fills the slot that the cached_property below reads first.
-            self.__dict__["weighted"] = self._weight(polys)
-
-    def _weight(self, polys: np.ndarray) -> np.ndarray:
-        table = polys * self.christoffel
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def weighted(self) -> np.ndarray:
-        return self._weight(orthonormal_he_table(self.degree - 1, self.roots))
+    weighted: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +194,7 @@ def he_roots(d: int) -> HermiteRootTable:
     build; the step removes them. Roots are then symmetrized exactly about 0
     (averaged against their mirror partner; the central root of odd d is
     snapped to 0.0) because downstream parity splits rely on exact sign
-    symmetry.
+    symmetry. At d = 1 this gives the root 0.0 and the weight 1.0.
 
     The weights are w_k = 1 / sum_{n<d} p_n(x_k)^2, evaluated at those roots
     by the orthonormal three-term recurrence. Unlike squared eigenvector
@@ -222,30 +202,27 @@ def he_roots(d: int) -> HermiteRootTable:
     relative accuracy in the tiny outer weights (about 3e-121 at d = 150), so
     the discrete Gram matrix stays the identity up to MAX_DEGREE. The
     recurrence flips signs bitwise under x -> -x, so the weights inherit the
-    exact mirror symmetry of the roots.
+    exact mirror symmetry of the roots. The same p_n(x_k) table, scaled by
+    the weights, is the weighted matrix.
     """
     if not 1 <= d <= MAX_DEGREE:
         raise ValueError(f"degree must lie in [1, {MAX_DEGREE}], got {d}")
-    if d == 1:
-        roots = np.zeros(1)
-        weights = np.ones(1)
-        p = np.ones((1, 1))
-    else:
-        off = np.sqrt(np.arange(1.0, d))
-        try:
-            vals = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigen-solve failed for degree {d}") from exc
-        p = orthonormal_he_table(d, vals)
-        vals = vals - p[d] / (math.sqrt(d) * p[d - 1])
-        roots = 0.5 * (vals - vals[::-1])
-        if d % 2:
-            roots[d // 2] = 0.0
-        p = orthonormal_he_table(d - 1, roots)
-        weights = 1.0 / np.sum(p * p, axis=0)
-    roots.flags.writeable = False
-    weights.flags.writeable = False
-    return HermiteRootTable(degree=d, roots=roots, christoffel=weights, polys=p)
+    off = np.sqrt(np.arange(1.0, d))
+    try:
+        vals = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigen-solve failed for degree {d}") from exc
+    p = orthonormal_he_table(d, vals)
+    vals = vals - p[d] / (math.sqrt(d) * p[d - 1])
+    roots = 0.5 * (vals - vals[::-1])
+    if d % 2:
+        roots[d // 2] = 0.0
+    p = orthonormal_he_table(d - 1, roots)
+    weights = 1.0 / np.sum(p * p, axis=0)
+    weighted = p * weights
+    for table in (roots, weights, weighted):
+        table.flags.writeable = False
+    return HermiteRootTable(roots=roots, christoffel=weights, weighted=weighted)
 
 
 def laguerre_eval(k: int, m: int, x):
@@ -263,25 +240,6 @@ def laguerre_eval(k: int, m: int, x):
     return float(cur) if scalar else cur
 
 
-class LogFactorialCache:
-    """Immutable table of ln(n!) for n = 0..n_max, built by one cumulative sum."""
-
-    def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError(f"table size must be nonnegative, got {n_max}")
-        values = np.zeros(n_max + 1)
-        if n_max:
-            np.cumsum(np.log(np.arange(1.0, n_max + 1)), out=values[1:])
-        values.flags.writeable = False
-        self.n_max = n_max
-        self.values = values
-
-    def __getitem__(self, n: int) -> float:
-        if n < 0:
-            raise ValueError(f"factorial argument must be nonnegative, got {n}")
-        return float(self.values[n])
-
-
 def log_factorial(n: int) -> float:
     """ln(n!) for one nonnegative integer n."""
     if n < 0:
@@ -290,5 +248,10 @@ def log_factorial(n: int) -> float:
 
 
 def log_factorial_array(n_max: int) -> np.ndarray:
-    """Read-only table of ln(n!) for n = 0..n_max."""
-    return LogFactorialCache(n_max).values
+    """Read-only table of ln(n!) for n = 0..n_max, built by one cumulative sum."""
+    if n_max < 0:
+        raise ValueError(f"table size must be nonnegative, got {n_max}")
+    values = np.zeros(n_max + 1)
+    np.cumsum(np.log(np.arange(1.0, n_max + 1)), out=values[1:])
+    values.flags.writeable = False
+    return values

@@ -247,6 +247,15 @@ def test_domain_errors_exit_3(tmp_path):
     assert run_cli("state", "--dim", "2", "--out", "/no/such/dir/x.csv").returncode == 3
 
 
+@pytest.mark.parametrize("command", ["state", "photon-dist"])
+def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--dim", "4", "--amp", "1e308", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: displacement coefficients at d=4, |alpha|=1e+308 are not finite" in err
+    assert not out.exists()
+
+
 def test_large_dimensions_run(tmp_path):
     out = str(tmp_path / "x.csv")
     for args in (

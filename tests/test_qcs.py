@@ -98,7 +98,9 @@ def test_nonlinear_matches_matrix_exponential_up_to_max_degree(d, where):
 def test_raw_coefficients_reject_a_corrupted_root_table(monkeypatch):
     # Inaccurate weights must raise, not be renormalized away.
     good = he_roots(12)
-    bad = HermiteRootTable(degree=12, roots=good.roots, christoffel=1.01 * good.christoffel)
+    bad = HermiteRootTable(
+        roots=good.roots, christoffel=1.01 * good.christoffel, weighted=1.01 * good.weighted
+    )
     monkeypatch.setattr(qcs, "he_roots", lambda d: bad)
     with pytest.raises(ConvergenceError):
         nonlinear_qcs(QcsParams(12, 1.3))
@@ -320,6 +322,20 @@ def test_qutrit_half_period_has_no_odd_weight():
 def test_parity_split_rejects_negative_modulus():
     with pytest.raises(ValueError):
         parity_coefficients(4, -0.5)
+
+
+@pytest.mark.parametrize("modulus", [math.nan, math.inf])
+def test_parity_split_rejects_non_finite_modulus(modulus):
+    with pytest.raises(ValueError, match="finite"):
+        parity_coefficients(4, modulus)
+
+
+def test_overflowing_root_phases_raise_value_error():
+    # x_k * |alpha| overflows for the outer roots of He_4 (|x_k| = 2.33).
+    with pytest.raises(ValueError, match=r"d=4, \|alpha\|=1e\+308 are not finite"):
+        nonlinear_qcs(QcsParams(4, 1e308))
+    with pytest.raises(ValueError, match="d=4"):
+        parity_coefficients(4, 1e308)
 
 
 @pytest.mark.parametrize("d", range(4, 22))

@@ -10,8 +10,6 @@ from scipy.special import eval_genlaguerre
 from quditcs import special_fn
 from quditcs.special_fn import (
     MAX_DEGREE,
-    HermiteRootTable,
-    LogFactorialCache,
     he_asymptotic,
     he_eval,
     he_roots,
@@ -180,9 +178,8 @@ def test_he_roots_are_polynomial_zeros(d):
 
 @pytest.mark.parametrize("d", [1, 2, 7, 150])
 def test_he_roots_builds_its_polynomial_table_once(d, monkeypatch):
-    # he_roots hands the p_n(roots) table of its weights to the root table,
-    # so the weighted table costs no second recurrence; a hand-built table
-    # makes the same bits on first access.
+    # he_roots makes the weighted table from the p_n(roots) table of its
+    # weights, so it costs no second recurrence.
     calls = []
     recurrence = special_fn.orthonormal_he_table
 
@@ -196,9 +193,6 @@ def test_he_roots_builds_its_polynomial_table_once(d, monkeypatch):
     weighted = table.weighted
     assert len(calls) == built
     assert not weighted.flags.writeable
-    by_hand = HermiteRootTable(degree=d, roots=table.roots, christoffel=table.christoffel)
-    assert by_hand.weighted.tobytes() == weighted.tobytes()
-    assert len(calls) == built + 1
 
 
 def test_he_roots_central_spacing_estimate_d21():
@@ -268,9 +262,13 @@ def test_outermost_weight_at_max_degree_against_mpmath():
 
 
 def test_he_roots_cached_and_frozen():
-    assert he_roots(7) is he_roots(7)
-    with pytest.raises(ValueError):
-        he_roots(7).roots[0] = 0.0
+    for d in (1, 2, 7, 150):
+        table = he_roots(d)
+        assert table is he_roots(d)
+        for array in (table.roots, table.christoffel, table.weighted):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
     with pytest.raises(ValueError):
         he_roots(0)
     with pytest.raises(ValueError):
@@ -304,14 +302,14 @@ def test_laguerre_matches_series_and_scipy():
 
 
 def test_log_factorial_cache():
-    cache = LogFactorialCache(200)
-    assert cache.values[0] == 0.0
-    assert cache.values[1] == 0.0
+    values = log_factorial_array(200)
+    assert values[0] == 0.0
+    assert values[1] == 0.0
     for n in range(2, 201):
-        diff = cache.values[n] - cache.values[n - 1]
+        diff = values[n] - values[n - 1]
         assert abs(diff - math.log(n)) <= 1e-13 * math.log(n)
     with pytest.raises(ValueError):
-        cache[-1]
+        log_factorial_array(-1)
 
 
 def test_log_factorial_helpers():

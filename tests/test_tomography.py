@@ -11,7 +11,9 @@ from quditcs.fock import QuditState
 from quditcs.phase_space import (
     PhasePoint,
     QuadratureSpec,
+    wigner_cross,
     wigner_fock,
+    wigner_mixture,
     wigner_state,
     wigner_values,
 )
@@ -315,3 +317,17 @@ def test_tomogram_csv_and_json(tmp_path):
 def test_non_finite_point_raises(query):
     with pytest.raises(ValueError, match="finite"):
         query(nonlinear_qcs(QcsParams(4, 1.1)))
+
+
+@pytest.mark.parametrize("r", [1e154, 1e155, 1e300])
+@pytest.mark.parametrize("d", [8, 150])
+def test_far_out_finite_point_gives_zero(d, r):
+    # Out here 4|z|^2, and from 1.3e154 on q^2 + p^2 itself, overflow; W is 0.
+    s = nonlinear_qcs(QcsParams(d, 1.1))
+    values = wigner_values(s, [r, 0.0, 0.5 * r], [0.0, -r, r])
+    assert values.tolist() == [0.0, 0.0, 0.0]
+    assert wigner_state(s, PhasePoint(r, 0.0)) == 0.0
+    assert wigner_fock(d - 1, PhasePoint(0.0, r)) == 0.0
+    assert wigner_cross(0, d - 1, PhasePoint(r, r)) == 0.0
+    assert wigner_mixture(s, PhasePoint(-r, 0.0)) == 0.0
+    assert tomogram_from_wigner(s, r, 0.3) == 0.0
