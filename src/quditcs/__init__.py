@@ -26,7 +26,6 @@ from .fock import (
 )
 from .phase_space import (
     PhasePoint,
-    QuadratureSpec,
     WignerGrid,
     nonclassical_volume,
     outer_radius,

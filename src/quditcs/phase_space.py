@@ -41,7 +41,6 @@ from .special_fn import hermite_function_table, log_factorial_array
 
 __all__ = [
     "PhasePoint",
-    "QuadratureSpec",
     "WignerGrid",
     "nonclassical_volume",
     "outer_radius",
@@ -73,21 +72,6 @@ class PhasePoint:
         return complex(self.q, self.p)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Simpson refinement settings: the tolerance between a grid's estimate and
-    its subgrid's, and the top rung of 128 * 2^max_refinements + 1 points."""
-
-    tol: float = 1e-3
-    max_refinements: int = 6
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be nonnegative")
-
-
 def _simpson_weights(xs: np.ndarray) -> np.ndarray:
     """Composite Simpson weights h/3 [1, 4, 2, ..., 2, 4, 1] of an odd-sized uniform axis."""
     sw = np.full(xs.size, 2.0)
@@ -96,56 +80,17 @@ def _simpson_weights(xs: np.ndarray) -> np.ndarray:
     return sw * ((xs[-1] - xs[0]) / (3.0 * (xs.size - 1)))
 
 
-def _simpson_sums(values: np.ndarray, *weights: np.ndarray) -> list[float]:
-    """Weighted sums of values, sampled on a line or a square grid, one per
-    weight vector; a grid is read once, by one (len(weights), n) @ grid pass."""
-    w = np.array(weights)
-    if values.ndim == 1:
-        return (w @ values).tolist()
-    return [float(a @ b) for a, b in zip(w @ values, w)]
-
-
-def _refine_simpson(dim: int, quad_spec: QuadratureSpec, sample, what: str) -> float:
-    """Simpson integral of sample(xs), the integrand on the line or the square
-    grid of axis xs, over |x| <= outer_radius(dim) + 3.
-
-    Grids have 128 * 2^j + 1 points, j <= quad_spec.max_refinements, and the
-    first grid whose estimate agrees within quad_spec.tol with that of its
-    every-other-node subgrid gives the result. The first subgrid is the first
-    rung whose step is at most the Nyquist step pi / (2 sqrt(2) _reach(dim))
-    of W: two grids that both under-sample W can agree by chance (at d = 150
-    the 129- and 257-point volumes agree, and both are 0.04 off). A
-    max_refinements below that first rung raises ValueError before any grid
-    is sampled; ConvergenceError means the sampled grids did not settle.
-    """
-    hw = outer_radius(dim) + 3.0
-    nyquist = math.pi / (2.0 * SQRT2 * _reach(dim))
-    first = 1  # rung of the first grid; its subgrid is one rung below
-    while 2.0 * hw / (64 << first) > nyquist:
-        first += 1
-    if quad_spec.max_refinements < first:
-        raise ValueError(
-            f"{what} quadrature at d={dim} starts on the {(128 << first) + 1}-point "
-            f"grid and needs max_refinements >= {first}, got {quad_spec.max_refinements}"
-        )
-    for j in range(first, quad_spec.max_refinements + 1):
-        xs = np.linspace(-hw, hw, (128 << j) + 1)
-        coarse = np.zeros(xs.size)  # the subgrid's weights, zero on odd nodes
-        coarse[::2] = _simpson_weights(xs[::2])
-        # sample(xs) is bound to no name, so each grid is freed before the next is sampled.
-        value, check = _simpson_sums(sample(xs), _simpson_weights(xs), coarse)
-        if abs(value - check) <= quad_spec.tol:
-            return value
-    raise ConvergenceError(
-        f"{what} quadrature did not settle within tol={quad_spec.tol} "
-        f"on grids of up to {(128 << quad_spec.max_refinements) + 1} points"
-    )
-
-
 def _reach(d: int) -> float:
     """sqrt(2d + 1) + 6, beyond which a d-level wavefunction is negligible in
     x = sqrt(2) q and in sqrt(2) p."""
     return math.sqrt(2.0 * d + 1.0) + 6.0
+
+
+def _nyquist_step(d: int) -> float:
+    """pi / (2 sqrt(2) _reach(d)): along any line, W of a d-level state is a
+    Gaussian times a polynomial with spectrum within 2 sqrt(2) _reach(d), so
+    samples this fine do not alias, and their trapezoid sum is exact."""
+    return math.pi / (2.0 * SQRT2 * _reach(d))
 
 
 def outer_radius(d: int) -> float:
@@ -214,7 +159,10 @@ def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
         qb, pb = q[lo : lo + _POINT_BLOCK], p[lo : lo + _POINT_BLOCK]
         s_re = np.zeros((d, qb.size))
         s_im = np.zeros((d, qb.size))
-        for w, rows in zip(weights, _kernel_sweep(d, qb * qb + pb * pb)):
+        # Past |z| ~ 1.3e154 |z|^2 overflows to inf, which _kernel_sweep caps.
+        with np.errstate(over="ignore"):
+            r2 = qb * qb + pb * pb
+        for w, rows in zip(weights, _kernel_sweep(d, r2)):
             s_re[: w.size] += w.real[:, None] * rows
             s_im[: w.size] += w.imag[:, None] * rows
         # u^m = e^{-i m phi}, so Re[u^m S_m] = cos(m phi) Re S_m + sin(m phi) Im S_m
@@ -536,20 +484,54 @@ def wigner_grid(
 _VOLUME_ROUNDING_FLOOR = 1e-12
 
 
-def nonclassical_volume(s: QuditState, quad_spec: QuadratureSpec = QuadratureSpec()) -> float:
+# The volume's tolerance between a grid's estimate and its subgrid's, and
+# its top rung, of 128 * 2^_VOLUME_MAX_REFINEMENTS + 1 points.
+_VOLUME_TOL = 1e-3
+_VOLUME_MAX_REFINEMENTS = 6
+
+
+def nonclassical_volume(s: QuditState) -> float:
     """Nonclassical volume: integral of |W| over the plane, minus 1.
 
     Zero exactly for states with nonnegative W (the integral is then the
     normalization); positive whenever W dips below zero. Computed by Simpson
-    quadrature of the Weyl-transform grid (_weyl_grid) on a centered square
-    window, refined by doubling until a grid and its subgrid agree within
-    quad_spec.tol (_refine_simpson).
+    quadrature of Weyl-transform grids (_weyl_grid) on the square
+    |q|, |p| <= outer_radius(d) + 3, of 128 * 2^j + 1 points a side,
+    j <= _VOLUME_MAX_REFINEMENTS: the first grid whose estimate agrees within
+    _VOLUME_TOL with that of its every-other-node subgrid gives the result.
+    The first subgrid is the first rung at or below W's Nyquist step, since
+    two grids that both under-sample W can agree by chance (at d = 150 the
+    129- and 257-point volumes agree, and both are 0.04 off). A budget below
+    that rung raises ValueError before any grid is sampled; ConvergenceError
+    means the grids did not settle, or lost mass.
     """
-    def abs_grid(xs):
+    hw = outer_radius(s.dim) + 3.0
+    first = 1  # rung of the first grid; its subgrid is one rung below
+    while 2.0 * hw / (64 << first) > _nyquist_step(s.dim):
+        first += 1
+    if _VOLUME_MAX_REFINEMENTS < first:
+        raise ValueError(
+            f"volume quadrature at d={s.dim} starts on the {(128 << first) + 1}-point "
+            f"grid and needs max_refinements >= {first}, got {_VOLUME_MAX_REFINEMENTS}"
+        )
+    for j in range(first, _VOLUME_MAX_REFINEMENTS + 1):
+        xs = np.linspace(-hw, hw, (128 << j) + 1)
+        coarse = np.zeros(xs.size)  # the subgrid's weights, zero on odd nodes
+        coarse[::2] = _simpson_weights(xs[::2])
         values = _weyl_grid(s.amps, xs, xs)
-        return np.abs(values, out=values)
-
-    integral = _refine_simpson(s.dim, quad_spec, abs_grid, "volume")
+        np.abs(values, out=values)
+        # The grid is read once, by one (2, n) @ grid pass, and freed before
+        # the next is sampled.
+        w = np.array([_simpson_weights(xs), coarse])
+        integral, check = (float(a @ b) for a, b in zip(w @ values, w))
+        del w, values
+        if abs(integral - check) <= _VOLUME_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"volume quadrature did not settle within tol={_VOLUME_TOL} "
+            f"on grids of up to {(128 << _VOLUME_MAX_REFINEMENTS) + 1} points"
+        )
     delta = integral - 1.0
     if delta < -2e-4:
         raise ConvergenceError(f"quadrature lost probability mass: integral {integral:.6g}")

@@ -49,6 +49,9 @@ class QcsParams:
         amplitude = complex(self.amplitude)
         if not cmath.isfinite(amplitude):
             raise ValueError(f"amplitude must be finite, got {amplitude}")
+        # abs() raises OverflowError where hypot returns inf.
+        if math.isinf(math.hypot(amplitude.real, amplitude.imag)):
+            raise ValueError(f"amplitude modulus overflows, got {amplitude}")
         object.__setattr__(self, "amplitude", amplitude)
 
     @property
@@ -101,20 +104,21 @@ def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
     normalized (it is a unitary's column), so its norm deviates from 1 by
     rounding only; a deviation above _RAW_NORM_TOL means the root table is
     wrong and raises ConvergenceError instead of being renormalized away.
-    A non-finite deviation means x_k |alpha| overflowed, and raises
-    ValueError.
+    A phase x_k |alpha| that overflows raises ValueError before any array
+    is formed; the largest |x_k| is the last root, and a Python float
+    product overflows to inf without a warning.
     """
     table = he_roots(d)
+    if math.isinf(float(table.roots[-1]) * modulus):
+        raise ValueError(
+            f"displacement coefficients at d={d}, |alpha|={modulus} are not "
+            f"finite: the root phases x_k |alpha| overflow"
+        )
     phased = table.weighted @ np.exp(1j * table.roots * modulus)
     n = np.arange(d)
     raw = np.exp(1j * n * (phi0 - 0.5 * math.pi)) * phased
     deviation = abs(np.linalg.norm(raw) - 1.0)
     if not deviation <= _RAW_NORM_TOL:
-        if not math.isfinite(deviation):
-            raise ValueError(
-                f"displacement coefficients at d={d}, |alpha|={modulus} are not "
-                f"finite: the root phases x_k |alpha| overflow"
-            )
         raise ConvergenceError(
             f"displacement coefficients at d={d}, |alpha|={modulus} have norm "
             f"off 1 by {deviation:.3g}; the Hermite root table is inaccurate"

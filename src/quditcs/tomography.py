@@ -7,8 +7,9 @@ squared rotated wavefunction
 
 where psi_n are the Hermite-Gauss functions. This form is manifestly
 nonnegative and overflow-free at any supported dimension. An independent
-route integrates the Wigner function along the rotated direction; the two
-agree, which is the main internal consistency check between modules.
+route integrates the Wigner function along the rotated direction, with one
+trapezoid sum that is exact to rounding; the two agree to rounding, which is
+the main internal consistency check between modules.
 
 Units: tomogram quadratures carry vacuum variance 1/2 (vacuum tomogram
 e^{-q^2}/sqrt(pi)), while the Wigner plane is scaled so the vacuum is
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import QuditState
-from .phase_space import QuadratureSpec, _refine_simpson, _write_grid_csv
-from .phase_space import outer_radius, wigner_values
+from .phase_space import _nyquist_step, _reach, _write_grid_csv, outer_radius, wigner_values
 from .special_fn import hermite_function_table
 
 __all__ = [
@@ -34,11 +34,6 @@ __all__ = [
     "tomogram_from_wigner",
     "tomogram_grid",
 ]
-
-# Tighter default than the Wigner-volume quadrature: the integrand here is a
-# smooth one-dimensional Gaussian-tailed slice, so refinement is cheap and the
-# cross-module agreement contract (1e-5) needs headroom.
-_MARGINAL_QUAD = QuadratureSpec(tol=1e-8, max_refinements=9)
 
 
 def _q_half_width(d: int) -> float:
@@ -65,12 +60,7 @@ def tomogram_closed_form(s: QuditState, q: float, theta: float) -> float:
     return float(_tomogram_rows(s.amps, np.atleast_1d(float(q)), np.atleast_1d(float(theta)))[0, 0])
 
 
-def tomogram_from_wigner(
-    s: QuditState,
-    q: float,
-    theta: float,
-    quad_spec: QuadratureSpec = _MARGINAL_QUAD,
-) -> float:
+def tomogram_from_wigner(s: QuditState, q: float, theta: float) -> float:
     """w(q, theta) by integrating the Wigner function along the rotated line.
 
     With z-plane coordinates scaled as in the module docstring, the marginal
@@ -78,18 +68,19 @@ def tomogram_from_wigner(
 
       w(q, theta) = (1/sqrt(2)) Int W(q' cos t - p sin t, q' sin t + p cos t) dp
 
-    with q' = q/sqrt(2). Simpson quadrature with refinement doubling
-    (_refine_simpson); raises if no grid agrees with its subgrid within
-    quad_spec.tol.
+    with q' = q/sqrt(2). W vanishes past sqrt(2) |p| = _reach(dim) and is a
+    Gaussian times a polynomial along the line, so one trapezoid sum at W's
+    Nyquist step (_nyquist_step) over |p| <= _reach(dim)/sqrt(2) is exact to
+    rounding: one wigner_values call, no refinement.
     """
     _check_point(q, theta)
     qz = float(q) / math.sqrt(2.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-
-    def line(ps):
-        return wigner_values(s, qz * cos_t - ps * sin_t, qz * sin_t + ps * cos_t) / math.sqrt(2.0)
-
-    return _refine_simpson(s.dim, quad_spec, line, "marginal")
+    h = _nyquist_step(s.dim)
+    n = math.ceil(_reach(s.dim) / (math.sqrt(2.0) * h))
+    ps = h * np.arange(-n, n + 1)
+    line = wigner_values(s, qz * cos_t - ps * sin_t, qz * sin_t + ps * cos_t)
+    return float(h * line.sum() / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,28 @@ def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("state", "--family", "beta", "--amp", "1.5e308,1.5e308"),
+         "error: amplitude modulus overflows, got (1.5e+308+1.5e+308j)"),
+        (("photon-dist", "--amp", "1.5e308,1.5e308"),
+         "error: amplitude modulus overflows, got (1.5e+308+1.5e+308j)"),
+        (("state", "--amp", "1e308"),
+         "error: displacement coefficients at d=4, |alpha|=1e+308 are not finite: "
+         "the root phases x_k |alpha| overflow"),
+    ],
+    ids=["state_modulus", "photon_dist_modulus", "state_root_phases"],
+)
+def test_overflowing_amplitude_writes_only_the_error_line(tmp_path, args, message):
+    # No traceback and no numpy warning reach stderr, and no file is written.
+    out = tmp_path / "x.csv"
+    proc = run_cli(*args, "--dim", "4", "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == message + "\n"
+    assert not out.exists()
+
+
 def test_large_dimensions_run(tmp_path):
     out = str(tmp_path / "x.csv")
     for args in (

@@ -14,7 +14,6 @@ from quditcs.errors import ConvergenceError
 from quditcs.fock import QuditState
 from quditcs.phase_space import (
     PhasePoint,
-    QuadratureSpec,
     WignerGrid,
     nonclassical_volume,
     outer_radius,
@@ -269,15 +268,16 @@ def test_nonclassical_volume_single_photon():
     assert val == pytest.approx(exact, abs=1e-3)
 
 
-def test_nonclassical_volume_validation():
+def test_nonclassical_volume_validation(monkeypatch):
     s = QuditState.basis(4, 1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tol=0.0)
+    monkeypatch.setattr(phase_space, "_VOLUME_MAX_REFINEMENTS", 0)
     with pytest.raises(ValueError, match="max_refinements >= 1"):
-        nonclassical_volume(s, QuadratureSpec(max_refinements=0))
+        nonclassical_volume(s)
     # One grid, the first rung, that cannot meet the tolerance.
+    monkeypatch.setattr(phase_space, "_VOLUME_TOL", 1e-300)
+    monkeypatch.setattr(phase_space, "_VOLUME_MAX_REFINEMENTS", 1)
     with pytest.raises(ConvergenceError):
-        nonclassical_volume(s, QuadratureSpec(tol=1e-300, max_refinements=1))
+        nonclassical_volume(s)
 
 
 @pytest.mark.parametrize("d, max_refinements, first", [(150, 3, 4), (2, 0, 1), (40, 0, 3)])
@@ -290,9 +290,10 @@ def test_refinement_budget_below_the_first_rung_is_a_value_error(
         raise AssertionError("a grid was sampled")
 
     monkeypatch.setattr(phase_space, "_weyl_grid", no_grid)
+    monkeypatch.setattr(phase_space, "_VOLUME_MAX_REFINEMENTS", max_refinements)
     s = QuditState.basis(d, 1)
     with pytest.raises(ValueError, match=f"{(128 << first) + 1}-point grid.*>= {first}, got"):
-        nonclassical_volume(s, QuadratureSpec(max_refinements=max_refinements))
+        nonclassical_volume(s)
 
 
 @pytest.mark.parametrize("n", [17, 129, 257, 1025, 4097])

@@ -49,6 +49,12 @@ def test_params_reject_non_finite_amplitudes(bad):
         QcsParams(3, bad)
 
 
+def test_params_reject_an_overflowing_modulus():
+    # Both parts are finite, but |amplitude| is not; abs() would raise OverflowError.
+    with pytest.raises(ValueError, match=r"modulus overflows, got \(1\.5e\+308\+1\.5e\+308j\)"):
+        QcsParams(4, complex(1.5e308, 1.5e308))
+
+
 def test_nonlinear_qubit_is_a_rotation():
     for a in (0.0, 0.4, 1.3, math.pi / 2.0):
         s = nonlinear_qcs(QcsParams(2, a))

@@ -6,11 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from quditcs.errors import ConvergenceError
 from quditcs.fock import QuditState
 from quditcs.phase_space import (
     PhasePoint,
-    QuadratureSpec,
     wigner_cross,
     wigner_fock,
     wigner_mixture,
@@ -146,12 +144,27 @@ def test_marginal_route_cross_validation_spots():
             )
 
 
-def test_marginal_route_validation():
-    s = QuditState.basis(4, 1)
-    with pytest.raises(ValueError, match="max_refinements >= 1"):
-        tomogram_from_wigner(s, 0.0, 0.0, QuadratureSpec(max_refinements=0))
-    with pytest.raises(ConvergenceError):
-        tomogram_from_wigner(s, 0.0, 0.0, QuadratureSpec(tol=1e-300, max_refinements=1))
+@pytest.mark.parametrize(
+    "make, points",
+    [
+        (lambda: QuditState.basis(1, 0), [(0.0, 0.0), (0.8, 0.0)]),
+        (lambda: nonlinear_qcs(QcsParams(32, 1.3 * np.exp(0.7j))), None),
+        (lambda: linear_qcs(QcsParams(32, 1.3 * np.exp(0.7j))), None),
+        (lambda: nonlinear_qcs(QcsParams(150, 2.1 * np.exp(-2.2j))), None),
+        (lambda: linear_qcs(QcsParams(150, 2.1 * np.exp(-2.2j))), None),
+        # Past MAX_DEGREE = 150, where no Hermite root table exists.
+        (lambda: linear_qcs(QcsParams(200, 1.3 * np.exp(0.7j))), None),
+    ],
+    ids=["vacuum_d1", "alpha_d32", "beta_d32", "alpha_d150", "beta_d150", "beta_d200"],
+)
+def test_marginal_route_is_exact(make, points):
+    # One trapezoid sum at W's Nyquist step integrates the line exactly, up
+    # to rounding, so the two routes agree far below any quadrature tolerance.
+    s = make()
+    for q, theta in points or [(0.0, 0.3), (1.1, 2.0), (-2.5, 4.4)]:
+        assert tomogram_from_wigner(s, q, theta) == pytest.approx(
+            tomogram_closed_form(s, q, theta), abs=1e-13
+        )
 
 
 def test_series_family_tomogram_symmetries():
