@@ -56,14 +56,25 @@ class QuditState:
 
     @classmethod
     def from_amplitudes(cls, amps) -> "QuditState":
-        """Normalize an arbitrary nonzero vector into a state."""
+        """Normalize an arbitrary nonzero vector into a state.
+
+        The input is validated once, here: a finite vector divided by its
+        own finite, nonzero norm is finite, unaliased and of unit norm to
+        rounding, so __post_init__'s checks and copy are skipped.
+        """
         amps = np.atleast_1d(np.asarray(amps, dtype=complex))
+        if amps.ndim != 1 or amps.size == 0:
+            raise ValueError("amplitudes must form a nonempty vector")
         norm = np.linalg.norm(amps)
         if not np.isfinite(norm):
             raise ValueError("amplitudes must be finite")
         if norm < _NULL_TOL:
             raise NullStateError("cannot normalize a (numerically) zero vector")
-        return cls(amps / norm)
+        state = object.__new__(cls)
+        unit = amps / norm
+        unit.flags.writeable = False
+        object.__setattr__(state, "amps", unit)
+        return state
 
     @classmethod
     def basis(cls, dim: int, n: int) -> "QuditState":

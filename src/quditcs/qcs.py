@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,16 @@ __all__ = [
 ]
 
 
+def _dimension(d) -> int:
+    """d as a Python int; a bool, float or other non-integer raises ValueError."""
+    if not isinstance(d, bool):
+        try:
+            return operator.index(d)
+        except TypeError:
+            pass
+    raise ValueError(f"dimension must be an integer, got {d!r}")
+
+
 @dataclass(frozen=True)
 class QcsParams:
     """Dimension and complex amplitude defining one coherent-family state."""
@@ -44,8 +55,10 @@ class QcsParams:
     amplitude: complex
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        dim = _dimension(self.dim)
+        if dim < 1:
+            raise ValueError(f"dimension must be positive, got {dim}")
+        object.__setattr__(self, "dim", dim)
         amplitude = complex(self.amplitude)
         if not cmath.isfinite(amplitude):
             raise ValueError(f"amplitude must be finite, got {amplitude}")
@@ -77,6 +90,7 @@ def quasiperiod(d: int) -> Quasiperiod:
     is only approximate and the quasiperiod is sqrt(4d + 2), twice the
     spacing of the central Hermite roots.
     """
+    d = _dimension(d)
     if d < 2:
         raise ValueError(f"quasiperiod needs dimension >= 2, got {d}")
     if d == 2:
@@ -98,15 +112,26 @@ def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
 
     c_n = e^{i n (phi0 - pi/2)} sum_k w_k p_n(x_k) e^{i x_k |alpha|}
 
-    over all roots x_k of He_d with Christoffel weights w_k: one product of
-    the root table's cached matrix weighted[n, k] = w_k p_n(x_k) with the
-    vector e^{i x_k |alpha|}. Mathematically the vector is already
-    normalized (it is a unitary's column), so its norm deviates from 1 by
-    rounding only; a deviation above _RAW_NORM_TOL means the root table is
-    wrong and raises ConvergenceError instead of being renormalized away.
-    A phase x_k |alpha| that overflows raises ValueError before any array
-    is formed; the largest |x_k| is the last root, and a Python float
-    product overflows to inf without a warning.
+    over all roots x_k of He_d with Christoffel weights w_k, as
+    c_n = e^{i n phi0} r_n with r_n real. The roots and weights are mirror
+    symmetric and p_n(-x) = (-1)^n p_n(x), so the sum folds onto the
+    positive roots x_+:
+
+    r_n = (-1)^floor(n/2) 2 sum_{x_+} w p_n(x) f_n(x |alpha|),
+
+    with f_n = cos for even n and sin for odd n, plus w_0 p_n(0) from the
+    central root x = 0 of odd d (nonzero for even n only). That is
+    one real product of half of the root table's cached matrix
+    weighted[n, k] = w_k p_n(x_k) per parity. At phi0 = 0 the result is r
+    itself, so real positive amplitudes give imaginary parts exactly 0.
+
+    Mathematically the vector is already normalized (it is a unitary's
+    column), so its norm deviates from 1 by rounding only; a deviation above
+    _RAW_NORM_TOL means the root table is wrong and raises ConvergenceError
+    instead of being renormalized away. A phase x_k |alpha| that overflows
+    raises ValueError before any array is formed; the largest |x_k| is the
+    last root, and a Python float product overflows to inf without a
+    warning.
     """
     table = he_roots(d)
     if math.isinf(float(table.roots[-1]) * modulus):
@@ -114,16 +139,25 @@ def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
             f"displacement coefficients at d={d}, |alpha|={modulus} are not "
             f"finite: the root phases x_k |alpha| overflow"
         )
-    phased = table.weighted @ np.exp(1j * table.roots * modulus)
-    n = np.arange(d)
-    raw = np.exp(1j * n * (phi0 - 0.5 * math.pi)) * phased
-    deviation = abs(np.linalg.norm(raw) - 1.0)
+    lo = (d + 1) // 2
+    phases = table.roots[lo:] * modulus
+    half = table.weighted[:, lo:]
+    r = np.empty(d)
+    r[0::2] = 2.0 * (half[0::2] @ np.cos(phases))
+    if d % 2:
+        r[0::2] += table.weighted[0::2, d // 2]
+    r[1::2] = 2.0 * (half[1::2] @ np.sin(phases))
+    r[2::4] *= -1.0
+    r[3::4] *= -1.0
+    deviation = abs(np.linalg.norm(r) - 1.0)
     if not deviation <= _RAW_NORM_TOL:
         raise ConvergenceError(
             f"displacement coefficients at d={d}, |alpha|={modulus} have norm "
             f"off 1 by {deviation:.3g}; the Hermite root table is inaccurate"
         )
-    return raw
+    if phi0 == 0.0:
+        return r.astype(complex)
+    return np.exp(1j * phi0 * np.arange(d)) * r
 
 
 def nonlinear_qcs(params: QcsParams) -> QuditState:
@@ -138,20 +172,28 @@ def nonlinear_qcs(params: QcsParams) -> QuditState:
     )
 
 
+def _series_coefficients(params: QcsParams) -> np.ndarray:
+    """Truncated exp-series coefficients beta^n / sqrt(n!) before
+    normalization, scaled so the largest modulus is 1. Magnitudes are
+    assembled in log scale so large |beta| cannot overflow; a zero amplitude
+    gives the vacuum."""
+    d = params.dim
+    if params.modulus == 0.0:
+        amps = np.zeros(d, dtype=complex)
+        amps[0] = 1.0
+        return amps
+    n = np.arange(d)
+    logmag = n * math.log(params.modulus) - 0.5 * log_factorial_array(d - 1)
+    logmag -= logmag.max()
+    return np.exp(logmag) * np.exp(1j * n * params.phi0)
+
+
 def linear_qcs(params: QcsParams) -> QuditState:
     """Poissonian-family coherent state: first d terms of the exp-series,
 
     c_n proportional to beta^n / sqrt(n!), renormalized on the truncated space.
-    Magnitudes are assembled in log scale so large |beta| cannot overflow.
     """
-    d = params.dim
-    n = np.arange(d)
-    if params.modulus == 0.0:
-        return QuditState.basis(d, 0)
-    logmag = n * math.log(params.modulus) - 0.5 * log_factorial_array(d - 1)
-    logmag -= logmag.max()
-    amps = np.exp(logmag) * np.exp(1j * n * params.phi0)
-    return QuditState.from_amplitudes(amps)
+    return QuditState.from_amplitudes(_series_coefficients(params))
 
 
 def cat_state(kind: str, sign: str, params: QcsParams) -> QuditState:
@@ -163,19 +205,19 @@ def cat_state(kind: str, sign: str, params: QcsParams) -> QuditState:
     odd-index coefficient.
     """
     if kind == "alpha":
-        base = nonlinear_qcs(params)
+        raw = _raw_coefficients(params.dim, params.modulus, params.phi0)
     elif kind == "beta":
-        base = linear_qcs(params)
+        raw = _series_coefficients(params)
     else:
         raise ValueError(f"unknown coherent family {kind!r}, expected 'alpha' or 'beta'")
     if sign == "even":
-        keep = 0
+        drop = 1
     elif sign == "odd":
-        keep = 1
+        drop = 0
     else:
         raise ValueError(f"unknown parity {sign!r}, expected 'even' or 'odd'")
-    mask = (np.arange(params.dim) % 2) == keep
-    return QuditState.from_amplitudes(np.where(mask, base.amps, 0.0))
+    raw[drop::2] = 0.0
+    return QuditState.from_amplitudes(raw)
 
 
 def complementary_state(params: QcsParams) -> QuditState:
@@ -249,10 +291,14 @@ def parity_coefficients(d: int, alpha_mod: float):
     modulus raises ValueError, and so does one large enough that the root
     phases x_k * alpha_mod overflow (past about 7.6e306 at d = 150).
     """
+    d = _dimension(d)
     if not 0.0 <= alpha_mod < math.inf:
         raise ValueError(
             f"amplitude modulus must be finite and nonnegative, got {alpha_mod}"
         )
     raw = _raw_coefficients(d, alpha_mod, 0.0)
-    even = np.arange(d) % 2 == 0
-    return np.where(even, raw, 0.0), np.where(even, 0.0, raw)
+    even = np.zeros_like(raw)
+    odd = np.zeros_like(raw)
+    even[0::2] = raw[0::2]
+    odd[1::2] = raw[1::2]
+    return even, odd

@@ -72,6 +72,12 @@ def orthonormal_he_eval(n: int, x):
     return float(row) if scalar else row
 
 
+@lru_cache(maxsize=256)
+def _sqrt_table(n_max: int) -> tuple:
+    """(math.sqrt(0), ..., math.sqrt(n_max)) as Python floats, read-only."""
+    return tuple(math.sqrt(k) for k in range(n_max + 1))
+
+
 def _orthonormal_recurrence(n_max: int, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
     """Rows seed * p_0(x) .. seed * p_{n_max}(x) of the orthonormal recurrence.
 
@@ -81,19 +87,24 @@ def _orthonormal_recurrence(n_max: int, x: np.ndarray, seed: np.ndarray) -> np.n
 
     A single point steps on Python floats: a numpy step on a one-element
     array costs about 6 us of call overhead against 0.3 us for the float
-    arithmetic. The operations and their order are those of the array path,
-    so both give the same bits; the result has the same shape,
+    arithmetic. It reads sqrt(k) from _sqrt_table instead of calling
+    math.sqrt twice a step. The operations and their order are those of the
+    array path, so both give the same bits; the result has the same shape,
     (n_max + 1,) + x.shape, either way.
     """
     if n_max < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n_max}")
     if x.size == 1:
         xv = x.item()
-        rows = [seed.item()]
+        prev = seed.item()
+        rows = [prev]
         if n_max >= 1:
-            rows.append(xv * rows[0])
-        for k in range(1, n_max):
-            rows.append((xv * rows[k] - math.sqrt(k) * rows[k - 1]) / math.sqrt(k + 1))
+            cur = xv * prev
+            rows.append(cur)
+            sqrt_k = _sqrt_table(n_max)
+            for k in range(1, n_max):
+                prev, cur = cur, (xv * cur - sqrt_k[k] * prev) / sqrt_k[k + 1]
+                rows.append(cur)
         return np.array(rows).reshape((n_max + 1,) + x.shape)
     table = np.empty((n_max + 1,) + x.shape)
     table[0] = seed

@@ -70,6 +70,17 @@ def test_state_beta_family_vector(tmp_path):
     np.testing.assert_allclose(moduli, [0.18, 0.38, 0.57, 0.70], atol=5e-3)
 
 
+def test_real_positive_amplitude_writes_exact_zero_imaginary_parts(tmp_path):
+    out = tmp_path / "s.csv"
+    proc = run_cli(
+        "state", "--family", "alpha", "--dim", "32", "--amp", "3.1", "--out", str(out),
+    )
+    assert proc.returncode == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert len(rows) == 32
+    assert all(im == "0" for _, _, im in rows)
+
+
 def test_complex_amplitude_token(tmp_path):
     out = tmp_path / "s.json"
     proc = run_cli(

@@ -152,6 +152,33 @@ def test_state_rejects_non_finite_amplitudes(bad):
         QuditState.from_amplitudes(np.array([bad, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones((2, 2)), np.array([]), [math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.5]],
+    ids=["2d", "empty", "nan", "inf", "-inf"],
+)
+def test_from_amplitudes_rejects_what_the_constructor_rejects(bad):
+    with pytest.raises(ValueError) as direct:
+        QuditState(np.asarray(bad, dtype=complex))
+    with pytest.raises(ValueError) as normalized:
+        QuditState.from_amplitudes(bad)
+    assert type(normalized.value) is type(direct.value)
+    assert str(normalized.value) == str(direct.value)
+
+
+def test_from_amplitudes_returns_an_unaliased_read_only_unit_vector():
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 17, 150, 400):
+        for scale in (1e-6, 1.0, 1e100):
+            amps = scale * (rng.normal(size=d) + 1j * rng.normal(size=d))
+            s = QuditState.from_amplitudes(amps)
+            assert abs(np.linalg.norm(s.amps) - 1.0) <= 1e-15
+            assert not s.amps.flags.writeable
+            kept = s.amps.copy()
+            amps[:] = 7.0
+            assert s.amps.tobytes() == kept.tobytes()
+
+
 def test_state_basis_and_dim():
     s = QuditState.basis(4, 2)
     assert s.dim == 4

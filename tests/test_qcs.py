@@ -34,6 +34,12 @@ def test_quasiperiod_values():
         quasiperiod(1)
 
 
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"])
+def test_quasiperiod_rejects_a_non_integer_dimension(bad):
+    with pytest.raises(ValueError, match=f"dimension must be an integer, got {bad!r}"):
+        quasiperiod(bad)
+
+
 def test_params_polar_decomposition():
     p = QcsParams(3, -1.0 - 1.0j)
     assert p.modulus == pytest.approx(math.sqrt(2.0), rel=1e-15)
@@ -47,6 +53,13 @@ def test_params_polar_decomposition():
 def test_params_reject_non_finite_amplitudes(bad):
     with pytest.raises(ValueError):
         QcsParams(3, bad)
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"])
+def test_params_reject_a_non_integer_dimension(bad):
+    with pytest.raises(ValueError, match=f"dimension must be an integer, got {bad!r}"):
+        QcsParams(bad, 1.0)
+    assert type(QcsParams(np.int64(3), 1.0).dim) is int
 
 
 def test_params_reject_an_overflowing_modulus():
@@ -114,20 +127,26 @@ def test_raw_coefficients_reject_a_corrupted_root_table(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 12, 75, 150])
 def test_cached_weighted_table_gives_the_per_call_bits(d):
-    # Reference: the weighted table rebuilt on every call, as before it was cached.
+    # Reference: the unfolded complex product over all d roots with the
+    # weighted table rebuilt on every call, as before it was cached. Folding
+    # the mirror roots changes the rounding, not the values; at phase 0 the
+    # imaginary parts are exactly 0.
     table = he_roots(d)
     weighted = orthonormal_he_table(d - 1, table.roots) * table.christoffel
+    assert weighted.tobytes() == table.weighted.tobytes()
     n = np.arange(d)
     for amp in (0.37, 1.7 * cmath.exp(0.6j), 5.2 - 2.1j):
         params = QcsParams(d, amp)
         phased = weighted @ np.exp(1j * table.roots * params.modulus)
         raw = np.exp(1j * n * (params.phi0 - 0.5 * math.pi)) * phased
         expected = QuditState.from_amplitudes(raw).amps
-        assert nonlinear_qcs(params).amps.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(nonlinear_qcs(params).amps, expected, rtol=0.0, atol=1e-14)
+        assert not nonlinear_qcs(QcsParams(d, abs(amp))).amps.imag.any()
         raw0 = np.exp(1j * n * (-0.5 * math.pi)) * (weighted @ np.exp(1j * table.roots * abs(amp)))
         even, odd = parity_coefficients(d, abs(amp))
-        assert even.tobytes() == np.where(n % 2 == 0, raw0, 0.0).tobytes()
-        assert odd.tobytes() == np.where(n % 2 == 0, 0.0, raw0).tobytes()
+        np.testing.assert_allclose(even, np.where(n % 2 == 0, raw0, 0.0), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(odd, np.where(n % 2 == 0, 0.0, raw0), rtol=0.0, atol=1e-14)
+        assert not even.imag.any() and not odd.imag.any()
     assert table.weighted is he_roots(d).weighted
     assert not table.weighted.flags.writeable
     with pytest.raises(ValueError):
@@ -328,6 +347,12 @@ def test_qutrit_half_period_has_no_odd_weight():
 def test_parity_split_rejects_negative_modulus():
     with pytest.raises(ValueError):
         parity_coefficients(4, -0.5)
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, "3"])
+def test_parity_split_rejects_a_non_integer_dimension(bad):
+    with pytest.raises(ValueError, match=f"dimension must be an integer, got {bad!r}"):
+        parity_coefficients(bad, 1.0)
 
 
 @pytest.mark.parametrize("modulus", [math.nan, math.inf])

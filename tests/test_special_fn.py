@@ -80,7 +80,7 @@ def test_orthonormal_table_matches_scalar_path():
         np.testing.assert_allclose(table[n], orthonormal_he_eval(n, x), rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 149])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 149, 399])
 def test_one_point_recurrence_gives_the_bits_of_its_column(n_max):
     # A single point steps on floats; it must match the array path bit for bit,
     # also where the Gaussian seed underflows (x = 40).
