@@ -108,6 +108,29 @@ def outer_radius(d: int) -> float:
 _POINT_BLOCK = 512
 
 
+# Dimensions whose Laguerre step tables (_laguerre_steps) are kept at once.
+# A table holds d (d - 1) floats, 0.2 MB at d = 150.
+_STEP_TABLE_CACHE = 4
+
+
+@lru_cache(maxsize=_STEP_TABLE_CACHE)
+def _laguerre_steps(d: int) -> tuple:
+    """For k = 0..d-2, the read-only columns
+
+        (sqrt(k (k + m)), sqrt((k + 1) (k + 1 + m))),  m = 0..d-2-k,
+
+    of the step from k to k + 1 in _kernel_sweep; they depend on d alone."""
+    m = np.arange(d)
+    steps = []
+    for k in range(d - 1):
+        mk = m[: d - k - 1, None]
+        pair = (np.sqrt(k * (k + mk)), np.sqrt((k + 1) * (k + 1 + mk)))
+        for col in pair:
+            col.flags.writeable = False
+        steps.append(pair)
+    return tuple(steps)
+
+
 def _kernel_sweep(d: int, r2: np.ndarray):
     """Yield, for k = 0..d-1, the (d - k) x N array of kernel rows
 
@@ -117,7 +140,7 @@ def _kernel_sweep(d: int, r2: np.ndarray):
     W_{k,k+m}(z) = (2/pi) R_k[m] u^m (module docstring). G_0^(m) is taken
     through logs so no factor overflows, and R_0[0] = e^{-2|z|^2} exactly.
     Each step in k is the three-term recurrence for every m at once, with
-    (-1)^k folded in.
+    (-1)^k folded in and its square-root factors read from _laguerre_steps.
 
     |z|^2 is capped at 1e300: every block has underflowed to 0 long before,
     and past the cap 4|z|^2 (or q^2 + p^2 itself) would overflow and the
@@ -131,12 +154,12 @@ def _kernel_sweep(d: int, r2: np.ndarray):
     rows[0] = np.exp(-2.0 * r2)
     shift = 4.0 * r2 - (m + 1.0)[:, None]  # 4|z|^2 - (2k + 1 + m) at k = 0
     prev = np.zeros_like(rows)
-    for k in range(d):
-        yield rows
+    yield rows
+    for k, (root_in, root_out) in enumerate(_laguerre_steps(d)):
         n = d - k - 1
-        mk = m[:n, None]
-        step = (shift[:n] - 2 * k) * rows[:n] - np.sqrt(k * (k + mk)) * prev[:n]
-        prev, rows = rows, step / np.sqrt((k + 1) * (k + 1 + mk))
+        step = (shift[:n] - 2 * k) * rows[:n] - root_in * prev[:n]
+        prev, rows = rows, step / root_out
+        yield rows
 
 
 def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
@@ -157,17 +180,15 @@ def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
     acc = np.empty(q.size)
     for lo in range(0, q.size, _POINT_BLOCK):
         qb, pb = q[lo : lo + _POINT_BLOCK], p[lo : lo + _POINT_BLOCK]
-        s_re = np.zeros((d, qb.size))
-        s_im = np.zeros((d, qb.size))
+        s = np.zeros((d, qb.size), dtype=complex)
         # Past |z| ~ 1.3e154 |z|^2 overflows to inf, which _kernel_sweep caps.
         with np.errstate(over="ignore"):
             r2 = qb * qb + pb * pb
         for w, rows in zip(weights, _kernel_sweep(d, r2)):
-            s_re[: w.size] += w.real[:, None] * rows
-            s_im[: w.size] += w.imag[:, None] * rows
+            s[: w.size] += w[:, None] * rows
         # u^m = e^{-i m phi}, so Re[u^m S_m] = cos(m phi) Re S_m + sin(m phi) Im S_m
         mphi = np.outer(np.arange(d), np.arctan2(pb, qb))
-        acc[lo : lo + qb.size] = (s_re * np.cos(mphi) + s_im * np.sin(mphi)).sum(axis=0)
+        acc[lo : lo + qb.size] = (s.real * np.cos(mphi) + s.imag * np.sin(mphi)).sum(axis=0)
     return (TWO_OVER_PI * acc).reshape(shape)
 
 

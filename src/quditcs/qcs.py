@@ -15,6 +15,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,24 +107,28 @@ def quasiperiod(d: int) -> Quasiperiod:
 # from 1; the measured worst case over d = 2..150 is below 1e-14.
 _RAW_NORM_TOL = 1e-8
 
+# Amplitudes whose coefficient factors are kept at once. Every state of one
+# amplitude (both families, their cats, the complementary state, the parity
+# split, the series state at -alpha) shares one displacement column, one
+# series magnitude vector and at most two phase vectors; a larger bound would
+# only serve a sweep that comes back to an amplitude it has left.
+_FACTOR_CACHE = 4
 
-def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
-    """Displacement coefficients before normalization:
 
-    c_n = e^{i n (phi0 - pi/2)} sum_k w_k p_n(x_k) e^{i x_k |alpha|}
+@lru_cache(maxsize=_FACTOR_CACHE)
+def _displacement_column(d: int, modulus: float) -> np.ndarray:
+    """The real vector r of the displacement coefficients
+    c_n = e^{i n phi0} r_n before normalization (_raw_coefficients),
+    read-only:
 
-    over all roots x_k of He_d with Christoffel weights w_k, as
-    c_n = e^{i n phi0} r_n with r_n real. The roots and weights are mirror
-    symmetric and p_n(-x) = (-1)^n p_n(x), so the sum folds onto the
-    positive roots x_+:
+    r_n = (-1)^floor(n/2) 2 sum_{x_+} w p_n(x) f_n(x |alpha|)
 
-    r_n = (-1)^floor(n/2) 2 sum_{x_+} w p_n(x) f_n(x |alpha|),
-
-    with f_n = cos for even n and sin for odd n, plus w_0 p_n(0) from the
-    central root x = 0 of odd d (nonzero for even n only). That is
-    one real product of half of the root table's cached matrix
-    weighted[n, k] = w_k p_n(x_k) per parity. At phi0 = 0 the result is r
-    itself, so real positive amplitudes give imaginary parts exactly 0.
+    over the positive roots x_+ of He_d with Christoffel weights w, with
+    f_n = cos for even n and sin for odd n, plus w_0 p_n(0) from the
+    central root x = 0 of odd d (nonzero for even n only). The roots and
+    weights are mirror symmetric and p_n(-x) = (-1)^n p_n(x), so this is the
+    sum over all roots folded in half: one real product of half of the root
+    table's cached matrix weighted[n, k] = w_k p_n(x_k) per parity.
 
     Mathematically the vector is already normalized (it is a unitary's
     column), so its norm deviates from 1 by rounding only; a deviation above
@@ -155,9 +160,49 @@ def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
             f"displacement coefficients at d={d}, |alpha|={modulus} have norm "
             f"off 1 by {deviation:.3g}; the Hermite root table is inaccurate"
         )
+    r.flags.writeable = False
+    return r
+
+
+@lru_cache(maxsize=_FACTOR_CACHE)
+def _series_magnitudes(d: int, modulus: float) -> np.ndarray:
+    """|beta|^n / sqrt(n!) for n < d at a positive modulus, scaled so the
+    largest is 1, read-only. Assembled in log scale so large |beta| cannot
+    overflow."""
+    logmag = np.arange(d) * math.log(modulus) - 0.5 * log_factorial_array(d - 1)
+    logmag -= logmag.max()
+    mag = np.exp(logmag)
+    mag.flags.writeable = False
+    return mag
+
+
+@lru_cache(maxsize=_FACTOR_CACHE)
+def _phases(d: int, phi0: float) -> np.ndarray:
+    """e^{i n phi0} for n < d, read-only."""
+    ph = np.exp(1j * phi0 * np.arange(d))
+    ph.flags.writeable = False
+    return ph
+
+
+def _phased(magnitudes: np.ndarray, phi0: float) -> np.ndarray:
+    """e^{i n phi0} m_n as a fresh complex array; at phi0 = 0 the magnitudes
+    themselves, so their imaginary parts are exactly 0."""
     if phi0 == 0.0:
-        return r.astype(complex)
-    return np.exp(1j * phi0 * np.arange(d)) * r
+        return magnitudes.astype(complex)
+    return _phases(magnitudes.size, phi0) * magnitudes
+
+
+def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
+    """Displacement coefficients before normalization, as a fresh array:
+
+    c_n = e^{i n (phi0 - pi/2)} sum_k w_k p_n(x_k) e^{i x_k |alpha|}
+
+    over all roots x_k of He_d with Christoffel weights w_k, assembled as
+    c_n = e^{i n phi0} r_n from the cached real r of _displacement_column.
+    At phi0 = 0 the result is r itself, so real positive amplitudes give
+    imaginary parts exactly 0.
+    """
+    return _phased(_displacement_column(d, modulus), phi0)
 
 
 def nonlinear_qcs(params: QcsParams) -> QuditState:
@@ -174,18 +219,15 @@ def nonlinear_qcs(params: QcsParams) -> QuditState:
 
 def _series_coefficients(params: QcsParams) -> np.ndarray:
     """Truncated exp-series coefficients beta^n / sqrt(n!) before
-    normalization, scaled so the largest modulus is 1. Magnitudes are
-    assembled in log scale so large |beta| cannot overflow; a zero amplitude
-    gives the vacuum."""
+    normalization, scaled so the largest modulus is 1, as a fresh array
+    (magnitudes from _series_magnitudes); a zero amplitude gives the
+    vacuum."""
     d = params.dim
     if params.modulus == 0.0:
         amps = np.zeros(d, dtype=complex)
         amps[0] = 1.0
         return amps
-    n = np.arange(d)
-    logmag = n * math.log(params.modulus) - 0.5 * log_factorial_array(d - 1)
-    logmag -= logmag.max()
-    return np.exp(logmag) * np.exp(1j * n * params.phi0)
+    return _phased(_series_magnitudes(d, params.modulus), params.phi0)
 
 
 def linear_qcs(params: QcsParams) -> QuditState:
@@ -296,9 +338,9 @@ def parity_coefficients(d: int, alpha_mod: float):
         raise ValueError(
             f"amplitude modulus must be finite and nonnegative, got {alpha_mod}"
         )
-    raw = _raw_coefficients(d, alpha_mod, 0.0)
-    even = np.zeros_like(raw)
-    odd = np.zeros_like(raw)
+    raw = _displacement_column(d, alpha_mod)
+    even = np.zeros(d, dtype=complex)
+    odd = np.zeros(d, dtype=complex)
     even[0::2] = raw[0::2]
     odd[1::2] = raw[1::2]
     return even, odd

@@ -7,8 +7,8 @@ quadrature weights) is phrased in terms of the orthonormal version
 p_n = He_n / sqrt(n!), which stays O(1) where the raw polynomials overflow.
 
 Each table has one builder: he_roots makes the root, Christoffel-weight and
-weighted-polynomial arrays of a degree together (cached per degree), and
-log_factorial_array makes the ln(n!) table.
+weighted-polynomial arrays of a degree together, and log_factorial_array
+makes the ln(n!) table; both are cached per size.
 """
 
 from __future__ import annotations
@@ -124,6 +124,13 @@ def orthonormal_he_table(n_max: int, x) -> np.ndarray:
     return _orthonormal_recurrence(n_max, arr, np.ones_like(arr))
 
 
+# Past |q| ~ 38.6 the Gaussian seed e^{-q^2/2} underflows to 0, and so does
+# every row; |q| is capped far beyond that, where q * q and sqrt(2) q stay
+# finite: their overflow would warn, and an infinite x times the zero seed
+# would give NaN.
+_Q_CAP = 1e150
+
+
 def hermite_function_table(n_max: int, q) -> np.ndarray:
     """Oscillator wavefunctions psi_0..psi_{n_max} at q, row n holding
 
@@ -131,9 +138,10 @@ def hermite_function_table(n_max: int, q) -> np.ndarray:
 
     the orthonormal (vacuum variance 1/2) Hermite-Gauss functions. The
     Gaussian seeds the recurrence, so values underflow to zero far out
-    instead of overflowing.
+    instead of overflowing, at any finite q (_Q_CAP).
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
+    q = np.minimum(np.maximum(q, -_Q_CAP), _Q_CAP)
     return _orthonormal_recurrence(
         n_max, math.sqrt(2.0) * q, math.pi**-0.25 * np.exp(-0.5 * q * q)
     )
@@ -258,8 +266,10 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
+@lru_cache(maxsize=256)
 def log_factorial_array(n_max: int) -> np.ndarray:
-    """Read-only table of ln(n!) for n = 0..n_max, built by one cumulative sum."""
+    """Read-only table of ln(n!) for n = 0..n_max, built by one cumulative sum
+    and cached per n_max."""
     if n_max < 0:
         raise ValueError(f"table size must be nonnegative, got {n_max}")
     values = np.zeros(n_max + 1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,10 +55,23 @@ def _check_point(q: float, theta: float) -> None:
         raise ValueError(f"tomogram point must be finite, got q={q}, theta={theta}")
 
 
+@lru_cache(maxsize=256)
+def _fock_indices(d: int) -> np.ndarray:
+    """0, 1, ..., d - 1, read-only."""
+    n = np.arange(d)
+    n.flags.writeable = False
+    return n
+
+
 def tomogram_closed_form(s: QuditState, q: float, theta: float) -> float:
-    """w(q, theta) through the squared rotated wavefunction."""
+    """w(q, theta) through the squared rotated wavefunction: one entry of
+    _tomogram_rows, with the same bits, taken as one dot product."""
     _check_point(q, theta)
-    return float(_tomogram_rows(s.amps, np.atleast_1d(float(q)), np.atleast_1d(float(theta)))[0, 0])
+    psi = hermite_function_table(s.dim - 1, float(q))[:, 0]
+    rotated = complex(np.dot(s.amps * np.exp(-1j * float(theta) * _fock_indices(s.dim)), psi))
+    # Products, as in the array path: a float64 scalar's ** 2 calls pow,
+    # which can round differently from x * x.
+    return rotated.real * rotated.real + rotated.imag * rotated.imag
 
 
 def tomogram_from_wigner(s: QuditState, q: float, theta: float) -> float:

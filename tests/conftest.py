@@ -1,5 +1,9 @@
 import re
 
+import pytest
+
+from quditcs import qcs
+
 _CRITERIA = {
     1: "fidelity table reproduction",
     2: "oracle equivalence",
@@ -10,6 +14,15 @@ _CRITERIA = {
     7: "special-function suite",
     8: "parity suppression",
 }
+
+
+@pytest.fixture(autouse=True)
+def _clear_amplitude_factor_caches():
+    """Start every test with empty per-amplitude factor caches, so that a
+    factor cached by an earlier test cannot hide what a test patches (such as
+    qcs.he_roots)."""
+    for cache in (qcs._displacement_column, qcs._series_magnitudes, qcs._phases):
+        cache.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -26,6 +26,7 @@ from quditcs.phase_space import (
     _eval_wigner,
 )
 from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
+from quditcs.special_fn import log_factorial_array
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -514,3 +515,69 @@ def test_high_index_kernels_against_mpmath():
     s = linear_qcs(QcsParams(150, 0.3 * quasiperiod(150).value))
     mixture = _mp_wigner(s.amps, -6.7, 3.1, diagonal_only=True)
     assert abs(wigner_mixture(s, PhasePoint(-6.7, 3.1)) - mixture) <= 1e-10
+
+
+def _untabled_wigner(amps: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """W(q, p) by the Laguerre sweep with its square-root factors computed on
+    every step and separate real and imaginary accumulators, block by block:
+    the evaluation the point queries must keep the bits of."""
+    d = amps.size
+    weights = [2.0 * np.conj(c) * amps[k:] for k, c in enumerate(amps)]
+    for w, c in zip(weights, amps):
+        w[0] = abs(c) ** 2
+    m = np.arange(d)
+    acc = np.empty(q.size)
+    block = phase_space._POINT_BLOCK
+    for lo in range(0, q.size, block):
+        qb, pb = q[lo : lo + block], p[lo : lo + block]
+        r2 = np.minimum(qb * qb + pb * pb, 1e300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_g = np.outer(m, np.log(2.0 * np.sqrt(r2))) - 2.0 * r2
+        rows = np.exp(log_g - 0.5 * log_factorial_array(d - 1)[:, None])
+        rows[0] = np.exp(-2.0 * r2)
+        shift = 4.0 * r2 - (m + 1.0)[:, None]
+        prev = np.zeros_like(rows)
+        s_re = np.zeros((d, qb.size))
+        s_im = np.zeros((d, qb.size))
+        for k, w in enumerate(weights):
+            s_re[: w.size] += w.real[:, None] * rows
+            s_im[: w.size] += w.imag[:, None] * rows
+            n = d - k - 1
+            mk = m[:n, None]
+            step = (shift[:n] - 2 * k) * rows[:n] - np.sqrt(k * (k + mk)) * prev[:n]
+            prev, rows = rows, step / np.sqrt((k + 1) * (k + 1 + mk))
+        mphi = np.outer(m, np.arctan2(pb, qb))
+        acc[lo : lo + qb.size] = (s_re * np.cos(mphi) + s_im * np.sin(mphi)).sum(axis=0)
+    return TWO_OVER_PI * acc
+
+
+@pytest.mark.parametrize("d", [1, 2, 32, 150])
+def test_point_queries_give_the_bits_of_the_untabled_sweep(d):
+    rng = np.random.default_rng(400 + d)
+    # the origin, then enough points to cross a block boundary
+    n_points = phase_space._POINT_BLOCK + 200
+    q = np.concatenate([[0.0], rng.normal(scale=outer_radius(d), size=n_points)])
+    p = np.concatenate([[0.0], rng.normal(scale=outer_radius(d), size=n_points)])
+    amp = 0.9 * math.sqrt(d) * complex(math.cos(0.7), math.sin(0.7))
+    states = (
+        nonlinear_qcs(QcsParams(d, amp)),
+        linear_qcs(QcsParams(d, -amp)),
+        QuditState.from_amplitudes(rng.normal(size=d) + 1j * rng.normal(size=d)),
+    )
+    for s in states:
+        for n in (1, 3, q.size):
+            expected = _untabled_wigner(s.amps, q[:n], p[:n])
+            assert wigner_values(s, q[:n], p[:n]).tobytes() == expected.tobytes()
+        single = _untabled_wigner(s.amps, q[1:2], p[1:2])[0]
+        assert wigner_state(s, PhasePoint(q[1], p[1])) == single
+
+
+def test_laguerre_step_tables_are_cached_read_only_and_bounded():
+    for d in (1, 2, 32, 150, 3, 4, 5):
+        steps = phase_space._laguerre_steps(d)
+        assert len(steps) == d - 1
+        assert steps is phase_space._laguerre_steps(d)
+    for k, (root_in, root_out) in enumerate(steps):
+        assert root_in.shape == root_out.shape == (4 - k, 1)
+        assert not root_in.flags.writeable and not root_out.flags.writeable
+    assert phase_space._laguerre_steps.cache_info().currsize <= phase_space._STEP_TABLE_CACHE == 4

@@ -153,6 +153,94 @@ def test_cached_weighted_table_gives_the_per_call_bits(d):
         table.weighted[0, 0] = 1.0
 
 
+_FACTOR_CACHES = (qcs._displacement_column, qcs._series_magnitudes, qcs._phases)
+
+
+def _clear_factor_caches():
+    for cache in _FACTOR_CACHES:
+        cache.cache_clear()
+
+
+def _amplitude_outcomes(params):
+    """Every state built at one amplitude, as thunks giving bytes (or the
+    raised exception's type and message)."""
+
+    def outcome(build):
+        def run():
+            try:
+                return build().tobytes()
+            except (NullStateError, ValueError) as exc:
+                return (type(exc), str(exc))
+
+        return run
+
+    thunks = [
+        outcome(lambda: nonlinear_qcs(params).amps),
+        outcome(lambda: linear_qcs(params).amps),
+        outcome(lambda: complementary_state(params).amps),
+        outcome(lambda: parity_coefficients(params.dim, params.modulus)[0]),
+        outcome(lambda: parity_coefficients(params.dim, params.modulus)[1]),
+    ]
+    for kind in ("alpha", "beta"):
+        for sign in ("even", "odd"):
+            thunks.append(outcome(lambda kind=kind, sign=sign: cat_state(kind, sign, params).amps))
+    return thunks
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 75, 150])
+def test_factor_caches_give_the_recomputed_bits(d):
+    # phi0 = 0, pi, -pi and 0.7, each at +alpha and -alpha
+    for base in (1.3, complex(-1.3, 0.0), complex(-1.3, -0.0), cmath.rect(1.3, 0.7)):
+        for amp in (base, -base):
+            thunks = _amplitude_outcomes(QcsParams(d, amp))
+            for thunk in thunks:
+                thunk()
+            cached = [thunk() for thunk in thunks]
+            fresh = []
+            for thunk in thunks:
+                _clear_factor_caches()
+                fresh.append(thunk())
+            assert cached == fresh
+
+
+def test_cat_state_at_zero_phase_leaves_the_cached_factors_alone():
+    # cat_state zeroes entries of _raw_coefficients' result in place; at
+    # phi0 = 0 that result must still be a copy of the cached column.
+    params = QcsParams(12, 1.3)
+    alpha = nonlinear_qcs(params).amps.tobytes()
+    beta = linear_qcs(params).amps.tobytes()
+    for kind in ("alpha", "beta"):
+        for sign in ("even", "odd"):
+            cat_state(kind, sign, params)
+    assert nonlinear_qcs(params).amps.tobytes() == alpha
+    assert linear_qcs(params).amps.tobytes() == beta
+
+
+def test_factor_caches_are_read_only():
+    for factor in (
+        qcs._displacement_column(12, 1.3),
+        qcs._series_magnitudes(12, 1.3),
+        qcs._phases(12, 0.7),
+    ):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
+    for phi0 in (0.0, 0.7):
+        raw = _raw_coefficients(12, 1.3, phi0)
+        assert raw.flags.writeable
+        assert not np.shares_memory(raw, qcs._displacement_column(12, 1.3))
+
+
+def test_factor_caches_hold_at_most_four_amplitudes():
+    for i in range(20):
+        params = QcsParams(32, cmath.rect(0.5 + 0.1 * i, 0.3 * i))
+        for thunk in _amplitude_outcomes(params):
+            thunk()
+        linear_qcs(QcsParams(32, -params.amplitude))
+    for cache in _FACTOR_CACHES:
+        assert 1 <= cache.cache_info().currsize <= 4
+
+
 @pytest.mark.parametrize("d", [2, 4, 7, 12])
 def test_matches_literal_spectral_sum(d):
     # Direct evaluation of the spectral synthesis with explicit factorials:

@@ -248,6 +248,23 @@ def test_hermite_function_table_far_out_underflows_to_zero():
     assert np.all(table[:, 1:] == 0.0)
 
 
+@pytest.mark.parametrize("q", [1e154, -1e200, 1e300, -1.7e308])
+def test_hermite_function_table_is_zero_at_any_far_out_finite_q(q):
+    # q * q, and past 1.27e308 sqrt(2) q, would overflow; the rows are 0.
+    assert hermite_function_table(5, q).tolist() == [[0.0]] * 6
+    table = hermite_function_table(150, np.array([q, 0.5, -q]))
+    assert np.all(table[:, [0, 2]] == 0.0)
+    assert table[:, 1].tobytes() == hermite_function_table(150, 0.5)[:, 0].tobytes()
+
+
+def test_log_factorial_table_is_cached_per_size():
+    table = log_factorial_array(150)
+    assert table is log_factorial_array(150)
+    fresh = np.zeros(151)
+    np.cumsum(np.log(np.arange(1.0, 151.0)), out=fresh[1:])
+    assert table.tobytes() == fresh.tobytes()
+
+
 def test_outermost_weight_at_max_degree_against_mpmath():
     # christoffel[0] at d=150 is ~3e-121; it must carry relative digits, so
     # approx gets abs=0.0 (its default 1e-12 floor would accept any value).

@@ -9,6 +9,7 @@ import pytest
 from quditcs.fock import QuditState
 from quditcs.phase_space import (
     PhasePoint,
+    outer_radius,
     wigner_cross,
     wigner_fock,
     wigner_mixture,
@@ -19,6 +20,7 @@ from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
 from quditcs.special_fn import hermite_function_table
 from quditcs.tomography import (
     Tomogram,
+    _tomogram_rows,
     tomogram_closed_form,
     tomogram_from_wigner,
     tomogram_grid,
@@ -344,3 +346,23 @@ def test_far_out_finite_point_gives_zero(d, r):
     assert wigner_cross(0, d - 1, PhasePoint(r, r)) == 0.0
     assert wigner_mixture(s, PhasePoint(-r, 0.0)) == 0.0
     assert tomogram_from_wigner(s, r, 0.3) == 0.0
+    assert tomogram_closed_form(s, r, 0.3) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 32, 150])
+def test_point_tomogram_gives_the_bits_of_its_grid_entry(d):
+    rng = np.random.default_rng(500 + d)
+    reach = math.sqrt(2.0) * (outer_radius(d) + 2.0)
+    # The fourth point is one where, at d = 1, squaring the rotated sum's
+    # real part by a float64 scalar's ** 2 (pow) misses x * x by one ulp.
+    qs = np.concatenate(
+        [[0.0, -0.0, 0.0, 4.138595169087749], rng.uniform(-1.2 * reach, 1.2 * reach, 300)]
+    )
+    thetas = np.concatenate(
+        [[0.0, -0.0, 2.0 * math.pi, -1.4784306102590667], rng.uniform(-7.0, 7.0, 300)]
+    )
+    amp = 0.9 * math.sqrt(d) * complex(math.cos(-1.4), math.sin(-1.4))
+    for s in (nonlinear_qcs(QcsParams(d, amp)), linear_qcs(QcsParams(d, amp))):
+        for q, theta in zip(qs, thetas):
+            entry = _tomogram_rows(s.amps, np.array([q]), np.array([theta]))[0, 0]
+            assert tomogram_closed_form(s, q, theta).hex() == float(entry).hex()
