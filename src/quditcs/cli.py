@@ -3,7 +3,8 @@ photon statistics, and nonclassical-volume sweeps as reproducible CSV or JSON
 files.
 
 Exit codes: 0 success, 2 argument/amplitude parse error, 3 domain error
-(bad dimension, degenerate construction, ...), 4 numerical non-convergence.
+(bad dimension, degenerate construction, an allocation that fails, ...),
+4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -307,6 +308,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
     except (QuditError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -14,12 +14,15 @@ u = (q - i p)/|z|: the diagonal (mixture) terms contribute
 all m at a time, on a block of points, so a block costs O(d) numpy steps
 and O(d^2) arithmetic per point. Grids (wigner_grid) and the
 nonclassical-volume quadrature (integrated |W| minus one) instead sample the
-wavefunction once and take its Weyl transform as one matrix product, whose
+wavefunction once and take its Weyl transform as a matrix product, whose
 cost does not grow with d; the Laguerre sweep stays their reference in the
-tests. What that transform needs besides the amplitudes (node layout, psi_n
-table, weights, cos/sin table) depends only on d and the two axes; it is a
-plan cached for the last few grids (_weyl_plan), so the states of one
-volume sweep, which all refine on the same ladder of grids, build it once.
+tests. A grid is one product; the volume takes it in blocks of rows and
+keeps only weighted column sums of |W|, and for real amplitudes (W even in
+p) over the half-plane p >= 0 alone. What that transform needs besides the
+amplitudes (node layout, psi_n table, weights, cos/sin table) depends only
+on d and the two axes; it is a plan cached for the last few grids
+(_weyl_plan), so the states of one volume sweep, which all refine on the
+same ladder of grids, build it once.
 The module also hosts the grid CSV writer (_write_grid_csv), which the
 tomogram shares; JSON files are written by cli._write_json.
 """
@@ -188,7 +191,10 @@ def _eval_wigner(amps: np.ndarray, q, p) -> np.ndarray:
             s[: w.size] += w[:, None] * rows
         # u^m = e^{-i m phi}, so Re[u^m S_m] = cos(m phi) Re S_m + sin(m phi) Im S_m
         mphi = np.outer(np.arange(d), np.arctan2(pb, qb))
-        acc[lo : lo + qb.size] = (s.real * np.cos(mphi) + s.imag * np.sin(mphi)).sum(axis=0)
+        terms = s.real * np.cos(mphi) + s.imag * np.sin(mphi)
+        # Each point sums its d terms as one contiguous row, in the order
+        # numpy gives a lone point, so a value does not depend on its call.
+        acc[lo : lo + qb.size] = np.ascontiguousarray(terms.T).sum(axis=1)
     return (TWO_OVER_PI * acc).reshape(shape)
 
 
@@ -264,7 +270,9 @@ class _WeylPlan:
     weights in y with 2/pi folded in, and trig interleaves cos and -sin of
     the phases 2 sqrt(2) p_j y_k, so that trig row 2k + 1 meets the
     imaginary part of kernel column k when the complex kernel is read as
-    real pairs. Every array is read-only.
+    real pairs. A real plan, for real amplitudes, whose kernel is real and
+    whose W is even in p, holds only the cos rows, over the columns with
+    p >= 0. Every array is read-only.
     """
 
     rows: slice
@@ -279,9 +287,10 @@ class _WeylPlan:
 
 
 @lru_cache(maxsize=_WEYL_PLAN_CACHE)
-def _weyl_plan(d: int, q_bytes: bytes, p_bytes: bytes) -> _WeylPlan | None:
-    """The plan of a d-level grid on the axes whose float64 bytes are given;
-    None when no row or column lies within reach, so the grid is all zeros."""
+def _weyl_plan(d: int, q_bytes: bytes, p_bytes: bytes, real: bool) -> _WeylPlan | None:
+    """The plan of a d-level grid on the axes whose float64 bytes are given,
+    real or complex (_WeylPlan); None when no row or column lies within
+    reach, so the grid is all zeros."""
     qs = np.frombuffer(q_bytes)
     ps = np.frombuffer(p_bytes)
     reach = _reach(d)
@@ -322,12 +331,17 @@ def _weyl_plan(d: int, q_bytes: bytes, p_bytes: bytes) -> _WeylPlan | None:
     h = stride * step
     weights = np.full(ks.size, TWO_OVER_PI * (2.0 * h))
     weights[0] = TWO_OVER_PI * h
+    if real:
+        cols = slice(cols.start + int(np.count_nonzero(ps[cols] < 0.0)), cols.stop)
     phase = (2.0 * SQRT2 * h) * np.outer(ks, ps[cols])
-    trig = np.empty((ks.size, 2, phase.shape[1]))
-    np.cos(phase, out=trig[:, 0])
-    np.sin(phase, out=trig[:, 1])
-    trig[:, 1] *= -1.0
-    trig = trig.reshape(2 * ks.size, -1)
+    if real:
+        trig = np.cos(phase, out=phase)
+    else:
+        trig = np.empty((ks.size, 2, phase.shape[1]))
+        np.cos(phase, out=trig[:, 0])
+        np.sin(phase, out=trig[:, 1])
+        trig[:, 1] *= -1.0
+        trig = trig.reshape(2 * ks.size, -1)
     for a in (inside, table, weights, trig):
         a.flags.writeable = False
     return _WeylPlan(
@@ -341,6 +355,33 @@ def _weyl_plan(d: int, q_bytes: bytes, p_bytes: bytes) -> _WeylPlan | None:
         weights=weights,
         trig=trig,
     )
+
+
+def _weyl_psi(plan: _WeylPlan, amps: np.ndarray, real: bool) -> np.ndarray:
+    """psi = sum_n c_n psi_n at the plan's nodes, zero outside reach; real
+    (from the real parts of amps) for a real plan."""
+    psi = np.zeros(plan.n_nodes, dtype=float if real else complex)
+    psi[plan.inside] = (amps.real if real else amps) @ plan.table
+    return psi
+
+
+def _weyl_kernel(plan: _WeylPlan, psi: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo .. lo + len(out) of the weighted kernel psi*(x_i + y_k)
+    psi(x_i - y_k) w_k, over the plan's rows, written into out."""
+    # Entry (i, k) of a view is psi[offset + row_step (lo + i) + col_step k];
+    # the plan's steps keep every such index within [0, n_nodes).
+    def view(offset, row_step, col_step):
+        return as_strided(
+            psi[offset + row_step * lo :],
+            out.shape,
+            (row_step * psi.itemsize, col_step * psi.itemsize),
+            writeable=False,
+        )
+
+    np.conjugate(view(*plan.plus), out=out)
+    out *= view(*plan.minus)
+    out *= plan.weights
+    return out
 
 
 def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -371,26 +412,12 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     straight into the returned array, which is always a new one.
     """
     values = np.zeros((qs.size, ps.size))
-    plan = _weyl_plan(amps.size, qs.tobytes(), ps.tobytes())
+    plan = _weyl_plan(amps.size, qs.tobytes(), ps.tobytes(), False)
     if plan is None:
         return values
-    psi = np.zeros(plan.n_nodes, dtype=complex)
-    psi[plan.inside] = amps @ plan.table
-    shape = (plan.rows.stop - plan.rows.start, plan.weights.size)
-
-    # Entry (i, k) of a view is psi[offset + row_step i + col_step k]; the
-    # plan's steps keep every such index within [0, n_nodes).
-    def view(offset, row_step, col_step):
-        return as_strided(
-            psi[offset:],
-            shape,
-            (row_step * psi.itemsize, col_step * psi.itemsize),
-            writeable=False,
-        )
-
-    kernel = np.conjugate(view(*plan.plus), out=np.empty(shape, dtype=complex))
-    kernel *= view(*plan.minus)
-    kernel *= plan.weights
+    psi = _weyl_psi(plan, amps, False)
+    kernel = np.empty((plan.rows.stop - plan.rows.start, plan.weights.size), dtype=complex)
+    _weyl_kernel(plan, psi, 0, kernel)
     np.matmul(kernel.view(float), plan.trig, out=values[plan.rows, plan.cols])
     return values
 
@@ -511,13 +538,56 @@ _VOLUME_TOL = 1e-3
 _VOLUME_MAX_REFINEMENTS = 6
 
 
+# Grid rows per block of a volume rung. A block's kernel and product buffer
+# take O(_VOLUME_ROW_BLOCK * (k + columns)) memory whatever the rung: 5 MB
+# for a real state at d = 150 on the 4097-point rung, whose whole |W| grid
+# would take 134 MB.
+_VOLUME_ROW_BLOCK = 256
+
+
+def _abs_weyl_sums(amps: np.ndarray, xs: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """w[r] |W| w[r] for the two rows r of w, with W on the square grid xs x xs.
+
+    The grid is never held: blocks of _VOLUME_ROW_BLOCK rows of the Weyl
+    transform (_weyl_grid) go through one kernel and one product buffer, and
+    each block's |W| is folded into the (2, columns) sums w[:, rows] @ |W|.
+    Real amplitudes take a real plan: a real kernel, the cos rows alone, and
+    the columns with p >= 0 only, since W(q, -p) = W(q, p); the axis is
+    symmetric about its centre node, 0 exactly, whose column counts once
+    while every other column counts twice.
+    """
+    real = not amps.imag.any()
+    # xs holds 0, which is within reach, so there is a plan.
+    plan = _weyl_plan(amps.size, xs.tobytes(), xs.tobytes(), real)
+    psi = _weyl_psi(plan, amps, real)
+    n_rows = plan.rows.stop - plan.rows.start
+    size = min(n_rows, _VOLUME_ROW_BLOCK)
+    kernel = np.empty((size, plan.weights.size), dtype=psi.dtype)
+    block = np.empty((size, plan.trig.shape[1]))
+    wq = w[:, plan.rows]
+    sums = np.zeros((2, block.shape[1]))
+    for lo in range(0, n_rows, size):
+        k = _weyl_kernel(plan, psi, lo, kernel[: n_rows - lo])
+        b = block[: k.shape[0]]
+        np.matmul(k.view(float), plan.trig, out=b)
+        np.abs(b, out=b)
+        sums += wq[:, lo : lo + b.shape[0]] @ b
+    wp = w[:, plan.cols]
+    if real:
+        # xs has 2^k + 1 nodes, so linspace puts its centre at 0 exactly,
+        # and the real plan's first column is that node.
+        wp = 2.0 * wp
+        wp[:, 0] *= 0.5
+    return tuple(float(a @ b) for a, b in zip(sums, wp))
+
+
 def nonclassical_volume(s: QuditState) -> float:
     """Nonclassical volume: integral of |W| over the plane, minus 1.
 
     Zero exactly for states with nonnegative W (the integral is then the
     normalization); positive whenever W dips below zero. Computed by Simpson
-    quadrature of Weyl-transform grids (_weyl_grid) on the square
-    |q|, |p| <= outer_radius(d) + 3, of 128 * 2^j + 1 points a side,
+    quadrature of Weyl-transform grids (_abs_weyl_sums, in row blocks) on the
+    square |q|, |p| <= outer_radius(d) + 3, of 128 * 2^j + 1 points a side,
     j <= _VOLUME_MAX_REFINEMENTS: the first grid whose estimate agrees within
     _VOLUME_TOL with that of its every-other-node subgrid gives the result.
     The first subgrid is the first rung at or below W's Nyquist step, since
@@ -539,13 +609,8 @@ def nonclassical_volume(s: QuditState) -> float:
         xs = np.linspace(-hw, hw, (128 << j) + 1)
         coarse = np.zeros(xs.size)  # the subgrid's weights, zero on odd nodes
         coarse[::2] = _simpson_weights(xs[::2])
-        values = _weyl_grid(s.amps, xs, xs)
-        np.abs(values, out=values)
-        # The grid is read once, by one (2, n) @ grid pass, and freed before
-        # the next is sampled.
         w = np.array([_simpson_weights(xs), coarse])
-        integral, check = (float(a @ b) for a, b in zip(w @ values, w))
-        del w, values
+        integral, check = _abs_weyl_sums(s.amps, xs, w)
         if abs(integral - check) <= _VOLUME_TOL:
             break
     else:

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from quditcs import qcs
+from quditcs import phase_space, qcs
 
 _CRITERIA = {
     1: "fidelity table reproduction",
@@ -17,11 +17,18 @@ _CRITERIA = {
 
 
 @pytest.fixture(autouse=True)
-def _clear_amplitude_factor_caches():
-    """Start every test with empty per-amplitude factor caches, so that a
-    factor cached by an earlier test cannot hide what a test patches (such as
-    qcs.he_roots)."""
-    for cache in (qcs._displacement_column, qcs._series_magnitudes, qcs._phases):
+def _clear_factor_and_plan_caches():
+    """Start every test with empty per-amplitude factor caches, Weyl plans and
+    Laguerre step tables, so that an entry cached by an earlier test cannot
+    hide what a test patches (such as qcs.he_roots or
+    phase_space.hermite_function_table)."""
+    for cache in (
+        qcs._displacement_column,
+        qcs._series_magnitudes,
+        qcs._phases,
+        phase_space._weyl_plan,
+        phase_space._laguerre_steps,
+    ):
         cache.cache_clear()
 
 

@@ -311,6 +311,24 @@ def test_nonconvergence_exits_4(tmp_path, monkeypatch):
     assert rc == 4
 
 
+def test_failed_allocation_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # A stand-in for numpy's "Unable to allocate" error: a real huge grid
+    # could succeed under memory overcommit.
+    def explode(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(cli, "wigner_grid", explode)
+    out = tmp_path / "w.csv"
+    rc = cli.main(["wigner", "--dim", "2", "--nq", "100000", "--np", "100000", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DOMAIN == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+    ]
+    assert not out.exists()
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: every command must run with it blocked.
     script = """

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from quditcs.phase_space import (
     wigner_state,
     wigner_values,
     _eval_wigner,
+    _weyl_grid,
 )
 from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
 from quditcs.special_fn import log_factorial_array
@@ -291,6 +293,7 @@ def test_refinement_budget_below_the_first_rung_is_a_value_error(
         raise AssertionError("a grid was sampled")
 
     monkeypatch.setattr(phase_space, "_weyl_grid", no_grid)
+    monkeypatch.setattr(phase_space, "_abs_weyl_sums", no_grid)
     monkeypatch.setattr(phase_space, "_VOLUME_MAX_REFINEMENTS", max_refinements)
     s = QuditState.basis(d, 1)
     with pytest.raises(ValueError, match=f"{(128 << first) + 1}-point grid.*>= {first}, got"):
@@ -389,6 +392,79 @@ def test_nonclassical_volume_matches_laguerre_route(d, monkeypatch):
     )
     assert fast > 0.0
     assert abs(fast - nonclassical_volume(s)) <= 1e-10
+
+
+def _laguerre_sums(amps, xs, w):
+    """_abs_weyl_sums from a Laguerre-sweep grid."""
+    values = np.abs(_eval_wigner(amps, xs[:, None], xs[None, :]))
+    return tuple(float(a @ values @ a) for a in w)
+
+
+def _whole_grid_sums(amps, xs, w):
+    """_abs_weyl_sums from one whole complex Weyl grid, read by one (2, n) @
+    grid pass: the volume's rung before it went by row blocks."""
+    values = np.abs(_weyl_grid(amps, xs, xs))
+    return tuple(float(a @ b) for a, b in zip(w @ values, w))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_real_volume_matches_a_laguerre_grid(d, monkeypatch):
+    for s in (
+        nonlinear_qcs(QcsParams(d, 0.37 * quasiperiod(d).value)),
+        linear_qcs(QcsParams(d, 1.2 * quasiperiod(d).value)),
+    ):
+        assert not s.amps.imag.any()  # the real half-plane path
+        fast = nonclassical_volume(s)
+        with monkeypatch.context() as m:
+            m.setattr(phase_space, "_abs_weyl_sums", _laguerre_sums)
+            assert fast > 0.0
+            assert abs(fast - nonclassical_volume(s)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 32])
+def test_real_volume_matches_the_whole_complex_grid(d, monkeypatch):
+    period = quasiperiod(d).value
+    states = [
+        family(QcsParams(d, frac * period))
+        for family in (nonlinear_qcs, linear_qcs)
+        for frac in (0.5, 1.0, 1.5)
+    ]
+    fast = []
+    for s in states:
+        assert not s.amps.imag.any()
+        fast.append(nonclassical_volume(s))
+    monkeypatch.setattr(phase_space, "_abs_weyl_sums", _whole_grid_sums)
+    for s, volume in zip(states, fast):
+        assert abs(volume - nonclassical_volume(s)) <= 1e-12
+
+
+def test_complex_volume_matches_the_whole_complex_grid(monkeypatch):
+    states = [
+        nonlinear_qcs(QcsParams(3, 0.5 * quasiperiod(3).value * complex(math.cos(0.7), 0.6))),
+        linear_qcs(QcsParams(8, -1.1 * quasiperiod(8).value * 1j)),
+        _random_state(6, 66),
+    ]
+    fast = []
+    for s in states:
+        assert s.amps.imag.any()  # the complex path
+        fast.append(nonclassical_volume(s))
+    monkeypatch.setattr(phase_space, "_abs_weyl_sums", _whole_grid_sums)
+    for s, volume in zip(states, fast):
+        assert volume > 0.0
+        assert abs(volume - nonclassical_volume(s)) <= 1e-12
+
+
+def test_large_volume_never_holds_its_grid():
+    # Two rungs, 2049 and 4097 points a side: one 4097^2 grid alone is 134 MB.
+    s = linear_qcs(QcsParams(150, quasiperiod(150).value))
+    tracemalloc.start()
+    try:
+        volume = nonclassical_volume(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert volume == pytest.approx(8.43293, abs=5e-3)
+    assert peak <= 64e6
 
 
 def test_weyl_plan_cache_bound_is_a_small_constant():
@@ -519,8 +595,9 @@ def test_high_index_kernels_against_mpmath():
 
 def _untabled_wigner(amps: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """W(q, p) by the Laguerre sweep with its square-root factors computed on
-    every step and separate real and imaginary accumulators, block by block:
-    the evaluation the point queries must keep the bits of."""
+    every step and separate real and imaginary accumulators, block by block,
+    each point's d terms summed as one contiguous row: the evaluation the
+    point queries must keep the bits of."""
     d = amps.size
     weights = [2.0 * np.conj(c) * amps[k:] for k, c in enumerate(amps)]
     for w, c in zip(weights, amps):
@@ -547,7 +624,8 @@ def _untabled_wigner(amps: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarr
             step = (shift[:n] - 2 * k) * rows[:n] - np.sqrt(k * (k + mk)) * prev[:n]
             prev, rows = rows, step / np.sqrt((k + 1) * (k + 1 + mk))
         mphi = np.outer(m, np.arctan2(pb, qb))
-        acc[lo : lo + qb.size] = (s_re * np.cos(mphi) + s_im * np.sin(mphi)).sum(axis=0)
+        terms = s_re * np.cos(mphi) + s_im * np.sin(mphi)
+        acc[lo : lo + qb.size] = np.ascontiguousarray(terms.T).sum(axis=1)
     return TWO_OVER_PI * acc
 
 
@@ -570,6 +648,16 @@ def test_point_queries_give_the_bits_of_the_untabled_sweep(d):
             assert wigner_values(s, q[:n], p[:n]).tobytes() == expected.tobytes()
         single = _untabled_wigner(s.amps, q[1:2], p[1:2])[0]
         assert wigner_state(s, PhasePoint(q[1], p[1])) == single
+
+
+@pytest.mark.parametrize("d", [1, 2, 32, 150])
+def test_point_value_does_not_depend_on_its_batch(d):
+    s = _random_state(d, 800 + d)
+    rng = np.random.default_rng(900 + d)
+    q, p = rng.normal(scale=outer_radius(d), size=(2, 713))
+    alone = np.array([wigner_state(s, PhasePoint(a, b)) for a, b in zip(q, p)])
+    for n in (2, 512, 513, 713):
+        assert wigner_values(s, q[:n], p[:n]).tobytes() == alone[:n].tobytes()
 
 
 def test_laguerre_step_tables_are_cached_read_only_and_bounded():
