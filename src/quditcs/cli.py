@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AmplitudeFormatError, ConvergenceError, QuditError
 from .fock import fidelity, mixed_fidelity, photon_distribution
-from .phase_space import nonclassical_volume, wigner_grid
+from .phase_space import _output_file, nonclassical_volume, wigner_grid
 from .qcs import (
     QcsParams,
     cat_state,
@@ -104,7 +104,7 @@ def _write_json(path: str, payload) -> None:
     and each row is written by one template of "%r", the repr json writes for
     a finite float. The bytes are the same.
     """
-    with open(path, "w", newline="\n") as fh:
+    with _output_file(path) as fh:
         rows = payload.get("values") if isinstance(payload, dict) else None
         if not (rows and rows[0]):  # json writes an empty matrix or row as []
             json.dump(payload, fh, indent=1, sort_keys=True)
@@ -130,7 +130,7 @@ def _write_rows(ns: argparse.Namespace, columns, line: str, rows, payload=None) 
     (a state file is one object).
     """
     if ns.format == "csv":
-        with open(ns.out, "w", newline="\n") as fh:
+        with _output_file(ns.out) as fh:
             fh.write(",".join(columns) + "\n")
             fh.writelines([line % row for row in rows])
     elif payload is None:

@@ -23,14 +23,18 @@ amplitudes (node layout, psi_n table, weights, cos/sin table) depends only
 on d and the two axes; it is a plan cached for the last few grids
 (_weyl_plan), so the states of one volume sweep, which all refine on the
 same ladder of grids, build it once.
-The module also hosts the grid CSV writer (_write_grid_csv), which the
-tomogram shares; JSON files are written by cli._write_json.
+Grids are written as CSV by gridcsv, which the tomogram shares, and as JSON
+by cli._write_json. Every output file is opened through _output_file here,
+which removes the file if writing it fails.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -422,22 +426,21 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return values
 
 
-def _write_grid_csv(path, header: str, outer, inner, values, coords: str) -> None:
-    """Write values[i, j] as one CSV line per grid point, outer axis slowest.
-
-    coords places the two coordinates, e.g. "{outer},{inner}"; each line ends
-    with ",w". Every number is written with "%.17g". Each axis value is
-    formatted once, and each grid row is one %-template that already holds
-    both coordinates and is filled with the row's values.
-    """
-    # "\0" stands for the outer coordinate; no formatted number contains it.
-    parts = "".join(
-        coords.format(outer="\0", inner="%.17g" % v) + ",%.17g\n" for v in inner.tolist()
-    ).split("\0")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for v, row in zip(outer.tolist(), values):
-            fh.write(("%.17g" % v).join(parts) % tuple(row.tolist()))
+@contextmanager
+def _output_file(path, mode: str = "w"):
+    """open(path, mode) for writing. If the body raises, a regular file it
+    opened is removed before the exception propagates, so a failed write
+    leaves no truncated file behind."""
+    fh = open(path, mode, newline=None if "b" in mode else "\n")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if regular:
+            with suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 @dataclass(frozen=True)
@@ -461,9 +464,9 @@ class WignerGrid:
 
     def write_csv(self, path) -> None:
         """Rows of q,p,w with q as the outer loop; 17 significant digits."""
-        _write_grid_csv(
-            path, "q,p,w", self.q_axis(), self.p_axis(), self.values, "{outer},{inner}"
-        )
+        from .gridcsv import write_grid_csv  # compiled only where a grid CSV is written
+
+        write_grid_csv(path, "q,p,w", self.q_axis(), self.p_axis(), self.values, outer_first=True)
 
     def to_json_dict(self) -> dict:
         return {

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import QuditState
-from .phase_space import _nyquist_step, _reach, _write_grid_csv, outer_radius, wigner_values
+from .phase_space import _nyquist_step, _reach, outer_radius, wigner_values
 from .special_fn import hermite_function_table
 
 __all__ = [
@@ -108,8 +108,10 @@ class Tomogram:
 
     def write_csv(self, path) -> None:
         """Rows of q,theta,w with theta as the outer loop; 17 significant digits."""
-        _write_grid_csv(
-            path, "q,theta,w", self.theta_grid, self.q_grid, self.values, "{inner},{outer}"
+        from .gridcsv import write_grid_csv  # compiled only where a grid CSV is written
+
+        write_grid_csv(
+            path, "q,theta,w", self.theta_grid, self.q_grid, self.values, outer_first=False
         )
 
     def to_json_dict(self) -> dict:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import quditcs.cli as cli
+from quditcs import gridcsv
 from quditcs.errors import ConvergenceError
 
 
@@ -327,6 +328,64 @@ def test_failed_allocation_exits_3_with_one_error_line(tmp_path, monkeypatch, ca
         "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
     ]
     assert not out.exists()
+
+
+def test_failed_grid_block_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # The second block fails after the first one reached the file.
+    out = tmp_path / "w.csv"
+    calls = []
+    format_values = gridcsv.format_values
+
+    def fail_second(values, words):
+        calls.append(values.size)
+        if len(calls) == 2:
+            assert out.stat().st_size > 0
+            raise MemoryError("Unable to allocate 32.0 KiB for an array with shape (4096,)")
+        format_values(values, words)
+
+    monkeypatch.setattr(gridcsv, "format_values", fail_second)
+    rc = cli.main(["wigner", "--dim", "2", "--nq", "401", "--np", "401", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DOMAIN == 3
+    assert len(calls) == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory: Unable to allocate 32.0 KiB for an array with shape (4096,)"
+    ]
+    assert not out.exists()
+
+
+def test_failed_row_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    class DiskFull:
+        def __float__(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "photon_distribution", lambda s: [0.5, DiskFull()])
+    out = tmp_path / "p.csv"
+    out.write_text("an older file\n")
+    rc = cli.main(["photon-dist", "--dim", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DOMAIN
+    assert captured.err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert not out.exists()
+
+
+def test_import_leaves_out_fractions_and_decimal(tmp_path):
+    # Each costs milliseconds of start-up that every CLI call would pay; the
+    # grid CSV formatter is compiled only by a call that writes a grid CSV.
+    script = """
+import sys
+from quditcs import cli
+assert "quditcs.gridcsv" not in sys.modules
+assert cli.main(["wigner", "--dim", "2", "--nq", "16", "--np", "16", "--out", sys.argv[1]]) == 0
+assert "quditcs.gridcsv" in sys.modules
+print(sorted({"fractions", "decimal"} & set(sys.modules)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "w.csv")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -1,5 +1,6 @@
 """Wigner evaluation, grids and the phase-space negativity volume."""
 
+import cmath
 import json
 import math
 import tracemalloc
@@ -383,15 +384,19 @@ def test_wigner_grid_on_a_huge_window_matches_laguerre_sweep():
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_nonclassical_volume_matches_laguerre_route(d, monkeypatch):
-    s = nonlinear_qcs(QcsParams(d, 0.37 * quasiperiod(d).value))
-    fast = nonclassical_volume(s)
-    monkeypatch.setattr(
-        phase_space,
-        "_weyl_grid",
-        lambda amps, qs, ps: _eval_wigner(amps, qs[:, None], ps[None, :]),
-    )
-    assert fast > 0.0
-    assert abs(fast - nonclassical_volume(s)) <= 1e-10
+    # Complex amplitudes: the volume's complex row-block path against
+    # Simpson sums of a Laguerre-sweep grid.
+    phase = cmath.exp(0.7j)
+    for s in (
+        nonlinear_qcs(QcsParams(d, 0.37 * quasiperiod(d).value * phase)),
+        linear_qcs(QcsParams(d, 1.2 * quasiperiod(d).value * phase)),
+    ):
+        assert s.amps.imag.any()
+        fast = nonclassical_volume(s)
+        with monkeypatch.context() as m:
+            m.setattr(phase_space, "_abs_weyl_sums", _laguerre_sums)
+            assert fast > 0.0
+            assert abs(fast - nonclassical_volume(s)) <= 1e-10
 
 
 def _laguerre_sums(amps, xs, w):

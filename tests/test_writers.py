@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import quditcs.cli as cli
+from quditcs import gridcsv
 from quditcs.fock import photon_distribution
 from quditcs.phase_space import WignerGrid, nonclassical_volume, wigner_grid
 from quditcs.qcs import QcsParams, linear_qcs, nonlinear_qcs, quasiperiod
@@ -80,6 +81,131 @@ def test_wigner_csv_bytes(tmp_path, k):
 def test_tomogram_csv_bytes(tmp_path, k):
     tomo = _tomograms()[k]
     assert tomo.values.shape[0] != tomo.values.shape[1]
+    tomo.write_csv(tmp_path / "got.csv")
+    reference_tomogram_csv(tomo, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# The vectorized "%.17g" of the grid writers, value by value.
+def format_17g(values):
+    values = np.asarray(values, dtype=float)
+    out = np.zeros((values.size, 4), np.dtype("<i8"))
+    gridcsv.format_values(values, out)
+    text = out.tobytes().translate(None, b"\0").decode()
+    assert text.count("\n") == values.size and text.endswith("\n")
+    return text.split("\n")[:-1]
+
+
+def assert_formats_like_python(values):
+    values = np.asarray(values, dtype=float)
+    want = ["%.17g" % v for v in values.tolist()]
+    got = format_17g(values)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def test_format_random_bit_patterns():
+    rng = np.random.default_rng(17)
+    values = rng.integers(0, 2**64, size=250_000, dtype=np.uint64).view(np.float64)
+    assert_formats_like_python(values[np.isfinite(values)])
+    # and as many in the vectorized range, spread over its decades
+    mags = 10.0 ** rng.uniform(-270.0, 0.0, size=250_000)
+    assert_formats_like_python(mags * rng.choice([-1.0, 1.0], size=mags.size))
+
+
+def test_format_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    assert_formats_like_python(powers)
+    assert_formats_like_python(np.nextafter(powers, 0.0))
+    assert_formats_like_python(np.nextafter(powers, np.inf))
+    assert_formats_like_python(-powers)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_format_corrects_an_exponent_guess_off_by_one(monkeypatch, shift):
+    # np.log10 only guesses the decimal exponent; a guess one off either way
+    # must still give the same text.
+    rng = np.random.default_rng(20)
+    powers = np.array([float(f"1e{k}") for k in range(-269, 0)])
+    values = np.concatenate(
+        [10.0 ** rng.uniform(-270.0, 0.0, 20_000), powers, np.nextafter(powers, 0.0)]
+    )
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    got = format_17g(values)
+    monkeypatch.undo()
+    assert got == ["%.17g" % v for v in values.tolist()]
+
+
+def test_format_powers_of_one_half():
+    assert_formats_like_python(0.5 ** np.arange(1075))
+
+
+def test_format_exact_and_near_ties():
+    # m 5^k / 2 with m odd is an exact tie of 17-digit rounding; v = m / 2^(k+1)
+    # is exact for m < 2^53 and has 18 significant digits.
+    rng = np.random.default_rng(18)
+    ties = []
+    for k in range(17, 25):
+        lo, hi = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        ms = rng.integers(lo, hi, size=2000) | 1
+        ties += [int(m) / 2 ** (k + 1) for m in ms if lo <= m < hi]
+    assert len(ties) > 10_000
+    assert_formats_like_python(ties)
+    # 18-digit decimals ending in 5: the nearest double is within an ulp of a tie
+    near = [
+        float(f"{rng.integers(10**16, 10**17)}5e{rng.integers(-290, -17)}")
+        for _ in range(50_000)
+    ]
+    assert_formats_like_python(near)
+
+
+def test_format_specials():
+    subnormals = [5e-324, 1e-320, 2.2250738585072009e-308, 1e-300, 1e-270, 1.0000000000000002e-270]
+    large = [1.0, 0.99999999999999989, 1.5, 10.0, 1e16, 1e17, 1.7976931348623157e308, 12345.678]
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, *subnormals, *large]
+    assert_formats_like_python(values + [-v for v in values])
+    assert format_17g([0.0, -0.0, -np.nan]) == ["0", "-0", "nan"]
+
+
+def _block_rows(columns):
+    return max(1, gridcsv._BLOCK_VALUES // columns)
+
+
+def _mixed_values(rng, rows, columns):
+    # W-like values with zeros, tiny, large and non-finite ones mixed in
+    values = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-20, 1, (rows, columns))
+    flat = values.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, 200), replace=False)
+    flat[picks] = rng.choice([0.0, -0.0, 1e-300, -5e-324, 2.5, -1e16, np.inf, np.nan, 0.125], 200)
+    return values
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_wigner_csv_bytes_around_the_block_size(tmp_path, offset):
+    rng = np.random.default_rng(19 + offset)
+    columns = 401
+    rows = 2 * _block_rows(columns) + offset
+    grid = WignerGrid(
+        q_min=-7.3, q_max=1e16, p_min=-4.1, p_max=4.1, nq=rows, np=columns,
+        values=_mixed_values(rng, rows, columns), state_meta="x",
+    )
+    grid.write_csv(tmp_path / "got.csv")
+    reference_wigner_csv(grid, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_tomogram_csv_bytes_around_the_block_size(tmp_path, offset):
+    rng = np.random.default_rng(29 + offset)
+    columns = 181
+    rows = _block_rows(columns) + offset
+    tomo = Tomogram(
+        q_grid=rng.uniform(-9.0, 9.0, columns),
+        theta_grid=np.linspace(0.0, np.pi, rows),
+        values=_mixed_values(rng, rows, columns),
+        state_meta="x",
+    )
     tomo.write_csv(tmp_path / "got.csv")
     reference_tomogram_csv(tomo, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
