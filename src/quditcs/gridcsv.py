@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phase_space import _output_file
+from .outfile import output_file
 
 # Grid CSV text. Every number is written as "%.17g" % v writes it. Zeros and
 # every finite 1e-270 < |v| < 1 (all W values, nearly all tomogram values) take
@@ -183,7 +183,7 @@ def write_grid_csv(path, header: str, outer, inner, values, outer_first: bool) -
     o0, i0 = (0, wo) if outer_first else (wi, 0)
     lines = np.zeros((min(rows, step), len(inner_words), width), _WORD)
     lines[:, :, i0 : i0 + wi] = inner_words
-    with _output_file(path, "wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, rows, step):
             block = lines[: min(rows - start, step)]

@@ -24,17 +24,14 @@ on d and the two axes; it is a plan cached for the last few grids
 (_weyl_plan), so the states of one volume sweep, which all refine on the
 same ladder of grids, build it once.
 Grids are written as CSV by gridcsv, which the tomogram shares, and as JSON
-by cli._write_json. Every output file is opened through _output_file here,
-which removes the file if writing it fails.
+by cli._write_json; both open their file through outfile.output_file, which
+removes the file if writing it fails.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-import stat
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -424,23 +421,6 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     _weyl_kernel(plan, psi, 0, kernel)
     np.matmul(kernel.view(float), plan.trig, out=values[plan.rows, plan.cols])
     return values
-
-
-@contextmanager
-def _output_file(path, mode: str = "w"):
-    """open(path, mode) for writing. If the body raises, a regular file it
-    opened is removed before the exception propagates, so a failed write
-    leaves no truncated file behind."""
-    fh = open(path, mode, newline=None if "b" in mode else "\n")
-    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        if regular:
-            with suppress(OSError):
-                os.unlink(path)
-        raise
 
 
 @dataclass(frozen=True)

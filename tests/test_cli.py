@@ -370,22 +370,57 @@ def test_failed_row_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_import_leaves_out_fractions_and_decimal(tmp_path):
-    # Each costs milliseconds of start-up that every CLI call would pay; the
-    # grid CSV formatter is compiled only by a call that writes a grid CSV.
-    script = """
+# Prints which of the modules named in argv[1] a fresh interpreter has loaded
+# after `import quditcs` (no further argument) or after cli.main(argv[2:]).
+# It imports nothing but sys, so that it loads none of them itself.
+_LOADED_SCRIPT = """
 import sys
-from quditcs import cli
-assert "quditcs.gridcsv" not in sys.modules
-assert cli.main(["wigner", "--dim", "2", "--nq", "16", "--np", "16", "--out", sys.argv[1]]) == 0
-assert "quditcs.gridcsv" in sys.modules
-print(sorted({"fractions", "decimal"} & set(sys.modules)))
+watched, argv = sys.argv[1].split(","), sys.argv[2:]
+if argv:
+    from quditcs.cli import main
+    assert main(argv) == 0, argv
+else:
+    import quditcs
+print(",".join(sorted(set(watched) & set(sys.modules))))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "w.csv")], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+_SUBMODULES = ("cli", "errors", "fock", "gridcsv", "outfile", "phase_space", "qcs",
+               "special_fn", "tomography")
+_WATCHED = ("numpy", "json", "fractions", "decimal", *(f"quditcs.{m}" for m in _SUBMODULES))
+
+
+def test_import_leaves_out_fractions_and_decimal(tmp_path):
+    # Each module a call loads costs it start-up time, compiling from source
+    # where there is no bytecode cache: a call loads only what it runs.
+    # fractions and decimal are never loaded; json only for a JSON write.
+    never = {"fractions", "decimal"}
+    rows = {"quditcs.phase_space", "quditcs.tomography", "quditcs.gridcsv", "json"} | never
+    grid = {"quditcs.tomography", "json"} | never
+    cases = [
+        ((), set(_WATCHED) - {"json"}),  # a bare import loads no numpy and no submodule
+        (("state", "--dim", "32"), rows),
+        (("photon-dist", "--dim", "8"), rows),
+        (("fidelity-table", "--dims", "2,5"), rows),
+        (("wigner", "--dim", "2", "--nq", "16", "--np", "16"), grid),
+        (("volume-sweep", "--dim", "2", "--n-points", "2"), grid | {"quditcs.gridcsv"}),
+        (("tomogram", "--dim", "2", "--nq", "32", "--ntheta", "32"), {"json"} | never),
+        (("wigner", "--dim", "2", "--nq", "16", "--np", "16", "--format", "json"),
+         {"quditcs.tomography", "quditcs.gridcsv"} | never),
+    ]
+    for k, (args, left_out) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        argv = [*args, "--out", str(out)] if args else []
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_SCRIPT, ",".join(_WATCHED), *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.strip().split(",")) - {""}
+        assert not loaded & left_out, (args, sorted(loaded & left_out))
+        if args and args[0] in ("wigner", "tomogram") and "json" not in args:
+            assert "quditcs.gridcsv" in loaded
+    # the JSON write works without json loaded at start-up
+    assert json.loads(out.read_text())["nq"] == 16
+    assert "json" in loaded
 
 
 def test_cli_runs_without_scipy(tmp_path):
