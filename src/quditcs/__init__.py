@@ -32,13 +32,13 @@ _EXPORTS = {
         "displacement_oracle",
         "fidelity",
         "mixed_fidelity",
+        "outer_radius",
         "photon_distribution",
     ),
     "phase_space": (
         "PhasePoint",
         "WignerGrid",
         "nonclassical_volume",
-        "outer_radius",
         "wigner_cross",
         "wigner_fock",
         "wigner_grid",

@@ -119,29 +119,31 @@ def _meta(ns: argparse.Namespace) -> str:
 def _write_json(path: str, payload) -> None:
     """json.dump(payload, indent=1, sort_keys=True) and a newline.
 
-    A grid payload's "values" (equal-length rows of finite floats) skips
-    json's per-item encoder: the envelope is encoded with null in its place,
-    and each row is written by one template of "%r", the repr json writes for
-    a finite float. The bytes are the same.
+    A grid payload holds its "values" as a 2-D float array, which
+    gridcsv.write_json_values writes as json writes values.tolist(); json
+    encodes the rest of the payload, with null in its place. The bytes are
+    the same.
     """
     import json  # loaded by JSON writes alone
 
-    with output_file(path) as fh:
-        rows = payload.get("values") if isinstance(payload, dict) else None
-        if not (rows and rows[0]):  # json writes an empty matrix or row as []
+    values = payload.get("values") if isinstance(payload, dict) else None
+    if not isinstance(values, np.ndarray):
+        with output_file(path) as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
-            return
-        # Strings escape their newlines, so only the top-level key can start a
-        # line with a one-space indent.
-        key = '\n "values": '
-        head, tail = json.dumps({**payload, "values": None}, indent=1, sort_keys=True).split(
-            key + "null"
-        )
-        template = "  [\n" + ",\n".join(["   %r"] * len(rows[0])) + "\n  ]"
-        fh.write(head + key + "[\n")
-        fh.write(",\n".join([template % tuple(row) for row in rows]))
-        fh.write("\n ]" + tail + "\n")
+        return
+    from .gridcsv import write_json_values  # compiled only where a grid is written
+
+    # Strings escape their newlines, so only the top-level key can start a
+    # line with a one-space indent.
+    key = '\n "values": '
+    head, tail = json.dumps({**payload, "values": None}, indent=1, sort_keys=True).split(
+        key + "null"
+    )
+    with output_file(path, "wb") as fh:
+        fh.write((head + key).encode())
+        write_json_values(fh, values)
+        fh.write((tail + "\n").encode())
 
 
 def _write_rows(ns: argparse.Namespace, columns, line: str, rows, payload=None) -> None:
@@ -166,7 +168,7 @@ def _write_grid(ns: argparse.Namespace, grid) -> None:
     if ns.format == "csv":
         grid.write_csv(ns.out)
     else:
-        _write_json(ns.out, grid.to_json_dict())
+        _write_json(ns.out, grid.to_json_dict(values_as_list=False))
 
 
 def cmd_state(ns: argparse.Namespace) -> int:

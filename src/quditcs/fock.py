@@ -1,10 +1,12 @@
 """Finite-dimensional Fock space: normalized states, the truncated ladder
-operators, the displacement unitary exp(alpha a+ - alpha* a), and fidelity
-measures between pure states and simple mixtures.
+operators, the displacement unitary exp(alpha a+ - alpha* a), fidelity
+measures between pure states and simple mixtures, and the radius a d-level
+state reaches in phase space (outer_radius).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "displacement_oracle",
     "fidelity",
     "mixed_fidelity",
+    "outer_radius",
     "photon_distribution",
 ]
 
@@ -206,3 +209,13 @@ def mixed_fidelity(
 def photon_distribution(s: QuditState) -> np.ndarray:
     """Occupation probabilities P_n = |c_n|^2 as a fresh writable array."""
     return np.abs(s.amps) ** 2
+
+
+def outer_radius(d: int) -> float:
+    """Radius of the outer phase-space circle a d-level state can reach:
+
+    sqrt(d - 1) + sqrt(ln(2)/2).
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    return math.sqrt(d - 1.0) + math.sqrt(0.5 * math.log(2.0))

@@ -23,9 +23,10 @@ amplitudes (node layout, psi_n table, weights, cos/sin table) depends only
 on d and the two axes; it is a plan cached for the last few grids
 (_weyl_plan), so the states of one volume sweep, which all refine on the
 same ladder of grids, build it once.
-Grids are written as CSV by gridcsv, which the tomogram shares, and as JSON
-by cli._write_json; both open their file through outfile.output_file, which
-removes the file if writing it fails.
+Grids are written by gridcsv, which the tomogram shares: as CSV by
+write_grid_csv, and the values of a JSON file by write_json_values, which
+cli._write_json calls; both open their file through outfile.output_file,
+which removes the file if writing it fails.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError
-from .fock import QuditState
+from .fock import QuditState, outer_radius
 from .special_fn import hermite_function_table, log_factorial_array
 
 __all__ = [
@@ -95,16 +96,6 @@ def _nyquist_step(d: int) -> float:
     Gaussian times a polynomial with spectrum within 2 sqrt(2) _reach(d), so
     samples this fine do not alias, and their trapezoid sum is exact."""
     return math.pi / (2.0 * SQRT2 * _reach(d))
-
-
-def outer_radius(d: int) -> float:
-    """Radius of the outer phase-space circle a d-level state can reach:
-
-    sqrt(d - 1) + sqrt(ln(2)/2).
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    return math.sqrt(d - 1.0) + math.sqrt(0.5 * math.log(2.0))
 
 
 # Points per block of a point query, which keeps the working memory of the
@@ -448,7 +439,9 @@ class WignerGrid:
 
         write_grid_csv(path, "q,p,w", self.q_axis(), self.p_axis(), self.values, outer_first=True)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, values_as_list: bool = True) -> dict:
+        """The JSON fields; values_as_list=False keeps values as the array,
+        for a writer that formats it itself (cli._write_json)."""
         return {
             "q_min": self.q_min,
             "q_max": self.q_max,
@@ -457,7 +450,7 @@ class WignerGrid:
             "nq": self.nq,
             "np": self.np,
             "state_meta": self.state_meta,
-            "values": self.values.tolist(),
+            "values": self.values.tolist() if values_as_list else self.values,
         }
 
 

@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import QuditState
-from .phase_space import _nyquist_step, _reach, outer_radius, wigner_values
+from .fock import QuditState, outer_radius
 from .special_fn import hermite_function_table
 
 __all__ = [
@@ -87,6 +86,9 @@ def tomogram_from_wigner(s: QuditState, q: float, theta: float) -> float:
     Nyquist step (_nyquist_step) over |p| <= _reach(dim)/sqrt(2) is exact to
     rounding: one wigner_values call, no refinement.
     """
+    # phase_space is compiled by this cross-check alone, not by tomogram grids
+    from .phase_space import _nyquist_step, _reach, wigner_values
+
     _check_point(q, theta)
     qz = float(q) / math.sqrt(2.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -114,12 +116,14 @@ class Tomogram:
             path, "q,theta,w", self.theta_grid, self.q_grid, self.values, outer_first=False
         )
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, values_as_list: bool = True) -> dict:
+        """The JSON fields; values_as_list=False keeps values as the array,
+        for a writer that formats it itself (cli._write_json)."""
         return {
             "q_grid": self.q_grid.tolist(),
             "theta_grid": self.theta_grid.tolist(),
             "state_meta": self.state_meta,
-            "values": self.values.tolist(),
+            "values": self.values.tolist() if values_as_list else self.values,
         }
 
 

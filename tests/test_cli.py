@@ -403,8 +403,17 @@ def test_import_leaves_out_fractions_and_decimal(tmp_path):
         (("wigner", "--dim", "2", "--nq", "16", "--np", "16"), grid),
         (("volume-sweep", "--dim", "2", "--n-points", "2"), grid | {"quditcs.gridcsv"}),
         (("tomogram", "--dim", "2", "--nq", "32", "--ntheta", "32"), {"json"} | never),
-        (("wigner", "--dim", "2", "--nq", "16", "--np", "16", "--format", "json"),
+        # a tomogram needs no Wigner function
+        (("tomogram", "--dim", "2", "--nq", "32", "--ntheta", "32", "--format", "json"),
+         {"quditcs.phase_space"} | never),
+        # the grid text module is for grids alone
+        (("state", "--dim", "32", "--format", "json"), rows - {"json"}),
+        (("photon-dist", "--dim", "8", "--format", "json"), rows - {"json"}),
+        (("fidelity-table", "--dims", "2,5", "--format", "json"), rows - {"json"}),
+        (("volume-sweep", "--dim", "2", "--n-points", "2", "--format", "json"),
          {"quditcs.tomography", "quditcs.gridcsv"} | never),
+        (("wigner", "--dim", "2", "--nq", "16", "--np", "16", "--format", "json"),
+         {"quditcs.tomography"} | never),
     ]
     for k, (args, left_out) in enumerate(cases):
         out = tmp_path / f"out{k}"
@@ -421,6 +430,7 @@ def test_import_leaves_out_fractions_and_decimal(tmp_path):
     # the JSON write works without json loaded at start-up
     assert json.loads(out.read_text())["nq"] == 16
     assert "json" in loaded
+    assert "quditcs.gridcsv" in loaded
 
 
 def test_cli_runs_without_scipy(tmp_path):

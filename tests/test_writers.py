@@ -1,6 +1,7 @@
 """Output file writers: full output bytes against plain per-value references."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -326,4 +327,198 @@ def test_row_table_bytes(tmp_path, monkeypatch, capsys, command, fmt):
     got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
     assert cli.main([*argv, "--format", fmt, "--out", str(got)]) == 0
     reference(fmt, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+# The vectorized json float text of the grid JSON writer, value by value:
+# repr's shortest round-trip digits, and NaN, Infinity, -Infinity.
+def format_shortest(values):
+    values = np.asarray(values, dtype=float)
+    out = np.zeros((values.size, 5), np.dtype("<i8"))
+    out[:, 4] = ord("\n")
+    gridcsv.format_shortest(values, out[:, :4])
+    text = out.tobytes().translate(None, b"\0").decode()
+    assert text.count("\n") == values.size and text.endswith("\n")
+    return text.split("\n")[:-1]
+
+
+def assert_shortest_like_json(values):
+    values = np.asarray(values, dtype=float)
+    want = [json.dumps(v) for v in values.tolist()]
+    got = format_shortest(values)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def test_shortest_random_bit_patterns():
+    rng = np.random.default_rng(21)
+    assert_shortest_like_json(rng.integers(0, 2**64, size=250_000, dtype=np.uint64).view(float))
+    # and as many in the vectorized range, spread over its decades
+    mags = 10.0 ** rng.uniform(-270.0, 0.0, size=250_000)
+    assert_shortest_like_json(mags * rng.choice([-1.0, 1.0], size=mags.size))
+
+
+def test_shortest_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-320, 1)])
+    for values in (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers):
+        assert_shortest_like_json(values)
+
+
+def test_shortest_powers_of_one_half():
+    # a power-of-two mantissa has a lower half-gap half the upper one
+    values = 0.5 ** np.arange(1075)
+    assert_shortest_like_json(values)
+    assert_shortest_like_json(np.nextafter(values, 0.0))
+    assert_shortest_like_json(3.0 * values)
+
+
+@pytest.mark.parametrize("digits", range(1, 17))
+def test_shortest_values_rounded_to_few_digits(digits):
+    rng = np.random.default_rng(22 + digits)
+    mags = rng.uniform(0.1, 1.0, 5000) * 10.0 ** rng.integers(-280, 1, 5000)
+    assert_shortest_like_json([float("%.*g" % (digits, v)) for v in mags.tolist()])
+
+
+def _half_gap_near_ties(rng, per_case=40):
+    # Doubles v = m 2^(E - 53) one of whose rounding-interval ends,
+    # (2m +- 1) 2^(E - 54), lies within about 1e-16..1e-7 units of S (see
+    # gridcsv) of a k-digit decimal: solve (2m +- 1) 10^(k - 1 - X) = c 2^(k - 1 - X)
+    # (mod 2^(54 - E)) for a small odd c, i.e. 2m +- 1 = c / 5^(k - 1 - X)
+    # (mod 2^T), T = 54 - E - (k - 1 - X); the end is then |c| 10^(17 - k) / 2^T
+    # units from the decimal.
+    values = []
+    for x in range(-6, 0):
+        for e in range(math.frexp(10.0**x)[1], math.frexp(10.0 ** (x + 1))[1] + 1):
+            for k in (16, 15, 14):
+                t = 54 - e - (k - 1 - x)
+                inverse = pow(5 ** (k - 1 - x), -1, 2**t)
+                for _ in range(per_case):
+                    units = 10.0 ** rng.uniform(-16.0, -7.0)
+                    c = (int(units * 2**t / 10 ** (17 - k)) | 1) * int(rng.choice([-1, 1]))
+                    odd = c * inverse % 2**t + int(rng.integers(0, 2**54)) // 2**t * 2**t
+                    m = (odd + int(rng.choice([-1, 1]))) // 2
+                    if 2**52 <= m < 2**53:
+                        v = math.ldexp(m, e - 53)
+                        if 10.0**x <= v < 10.0 ** (x + 1):
+                            values.append(v)
+    return values
+
+
+def test_shortest_near_ties():
+    rng = np.random.default_rng(23)
+    near = _half_gap_near_ties(rng)
+    assert len(near) > 1000
+    assert_shortest_like_json(near + [-v for v in near])
+    # exact ties between two candidates: o / 2^j has j decimals, the last a 5
+    ties = [
+        int(o | 1) / 2**j for j in range(17, 60) for o in rng.integers(2 ** (j - 4), 2**j, 300)
+    ]
+    assert_shortest_like_json(ties)
+    # and decimals next to such ties, for 15 to 17 digits
+    for digits in (15, 16, 17):
+        near_five = [
+            float(f"{rng.integers(10 ** (digits - 1), 10**digits)}5e{rng.integers(-290, -digits)}")
+            for _ in range(20_000)
+        ]
+        assert_shortest_like_json(near_five)
+
+
+def test_shortest_specials():
+    subnormals = [5e-324, 1e-320, 2.2250738585072009e-308, 1e-300, 1e-270, 1.0000000000000002e-270]
+    large = [1.0, 0.99999999999999989, 1.5, 10.0, 1e16, 1e17, 1.7976931348623157e308, 12345.678]
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, *subnormals, *large]
+    assert_shortest_like_json(values + [-v for v in values])
+    assert format_shortest([0.0, -0.0, -np.nan, -np.inf]) == ["0.0", "-0.0", "NaN", "-Infinity"]
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_shortest_corrects_an_exponent_guess_off_by_one(monkeypatch, shift):
+    rng = np.random.default_rng(24)
+    powers = np.array([float(f"1e{k}") for k in range(-269, 0)])
+    values = np.concatenate(
+        [10.0 ** rng.uniform(-270.0, 0.0, 20_000), powers, np.nextafter(powers, 0.0)]
+    )
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    got = format_shortest(values)
+    monkeypatch.undo()
+    assert got == [json.dumps(v) for v in values.tolist()]
+
+
+def assert_grid_json_like_json_dump(tmp_path, grid):
+    cli._write_json(tmp_path / "got.json", grid.to_json_dict(values_as_list=False))
+    reference_json(grid.to_json_dict(), tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["hand", "real"])
+def test_grid_json_bytes(tmp_path, k):
+    assert_grid_json_like_json_dump(tmp_path, _wigner_grids()[k])
+    assert_grid_json_like_json_dump(tmp_path, _tomograms()[k])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_wigner_json_bytes_around_the_block_size(tmp_path, offset):
+    rng = np.random.default_rng(39 + offset)
+    columns = 201
+    rows = _block_rows(columns) + offset
+    grid = WignerGrid(
+        q_min=-7.3, q_max=1e16, p_min=-4.1, p_max=4.1, nq=rows, np=columns,
+        values=_mixed_values(rng, rows, columns), state_meta=TRICKY_META,
+    )
+    assert_grid_json_like_json_dump(tmp_path, grid)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_tomogram_json_bytes_around_the_block_size(tmp_path, offset):
+    rng = np.random.default_rng(49 + offset)
+    columns = 181
+    rows = _block_rows(columns) + offset
+    tomo = Tomogram(
+        q_grid=rng.uniform(-9.0, 9.0, columns),
+        theta_grid=np.linspace(0.0, np.pi, rows),
+        values=_mixed_values(rng, rows, columns),
+        state_meta="x",
+    )
+    assert_grid_json_like_json_dump(tmp_path, tomo)
+
+
+def test_json_values_with_non_finite_int_and_bool_entries(tmp_path):
+    # A "values" matrix json would write as NaN, Infinity, 1 or true is
+    # written as json writes it, and reads back.
+    payload = {"meta": "x", "values": [[1.5, float("nan")], [float("inf"), -float("inf")], [1, True]]}
+    cli._write_json(tmp_path / "got.json", payload)
+    reference_json(payload, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert json.loads((tmp_path / "got.json").read_text())["values"][2] == [1, True]
+    grid = np.array([[0.25, np.nan], [np.inf, -np.inf]])
+    cli._write_json(tmp_path / "got.json", {"meta": "x", "values": grid})
+    reference_json({"meta": "x", "values": grid.tolist()}, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+# One call of each JSON grid shape the benchmark's cli-grids workload runs.
+CLI_JSON_GRIDS = {
+    "wigner-8": ["wigner", "--dim", "8", "--family", "gamma", "--amp", "1.1,0.7"],
+    "wigner-32": ["wigner", "--dim", "32", "--family", "beta", "--amp=-3.2,1.9"],
+    "tomogram-2": ["tomogram", "--dim", "2", "--family", "beta", "--amp", "0.4,-1.1"],
+    "tomogram-32": ["tomogram", "--dim", "32", "--family", "beta", "--amp", "2.5,2.6"],
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_JSON_GRIDS))
+def test_cli_grid_json_bytes(tmp_path, monkeypatch, name):
+    payloads = []
+    write_json = cli._write_json
+
+    def record(path, payload):
+        payloads.append(payload)
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", record)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    assert cli.main([*CLI_JSON_GRIDS[name], "--format", "json", "--out", str(got)]) == 0
+    (payload,) = payloads
+    assert isinstance(payload["values"], np.ndarray) and payload["values"].size >= 181 * 201
+    reference_json({**payload, "values": payload["values"].tolist()}, want)
     assert got.read_bytes() == want.read_bytes()
