@@ -24,10 +24,7 @@ _EXPORTS = {
         "QuditError",
     ),
     "fock": (
-        "QuditOperator",
         "QuditState",
-        "annihilation",
-        "creation",
         "displaced_vacuum",
         "displacement_oracle",
         "fidelity",
@@ -59,13 +56,8 @@ _EXPORTS = {
     ),
     "special_fn": (
         "HermiteRootTable",
-        "he_asymptotic",
         "he_eval",
         "he_roots",
-        "he_zero",
-        "laguerre_eval",
-        "log_factorial",
-        "orthonormal_he_eval",
         "orthonormal_he_table",
     ),
     "tomography": (

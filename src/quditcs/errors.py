@@ -6,7 +6,7 @@ class QuditError(Exception):
 
 
 class DimensionMismatchError(QuditError, ValueError):
-    """Two states or operators disagree on the Hilbert-space dimension."""
+    """Two states disagree on the Hilbert-space dimension."""
 
 
 class NullStateError(QuditError, ValueError):

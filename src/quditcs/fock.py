@@ -1,7 +1,7 @@
-"""Finite-dimensional Fock space: normalized states, the truncated ladder
-operators, the displacement unitary exp(alpha a+ - alpha* a), fidelity
-measures between pure states and simple mixtures, and the radius a d-level
-state reaches in phase space (outer_radius).
+"""Finite-dimensional Fock space: normalized states, the displacement
+unitary exp(alpha a+ - alpha* a) of the truncated ladder, fidelity measures
+between pure states and simple mixtures, and the radius a d-level state
+reaches in phase space (outer_radius).
 """
 
 from __future__ import annotations
@@ -14,10 +14,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NullStateError
 
 __all__ = [
-    "QuditOperator",
     "QuditState",
-    "annihilation",
-    "creation",
     "displaced_vacuum",
     "displacement_oracle",
     "fidelity",
@@ -103,91 +100,36 @@ class QuditState:
             "amps_im": self.amps.imag.tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "QuditState":
-        re = np.asarray(payload["amps_re"], dtype=float)
-        im = np.asarray(payload["amps_im"], dtype=float)
-        if re.shape != im.shape or re.size != payload["dim"]:
-            raise ValueError("inconsistent serialized state")
-        return cls(re + 1j * im)
 
-
-@dataclass(frozen=True)
-class QuditOperator:
-    """A d x d operator on the truncated Fock space (entries are read-only)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"operator must be square, got shape {entries.shape}")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def dagger(self) -> "QuditOperator":
-        return QuditOperator(self.entries.conj().T)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product on a raw amplitude vector."""
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"vector of length {vec.size} does not fit dimension {self.dim}"
-            )
-        return self.entries @ vec
-
-    def __matmul__(self, other: "QuditOperator") -> "QuditOperator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"dimensions differ: {self.dim} vs {other.dim}"
-            )
-        return QuditOperator(self.entries @ other.entries)
-
-
-def annihilation(d: int) -> QuditOperator:
-    """Truncated lowering operator: a|n> = sqrt(n)|n-1>, a|0> = 0.
-
-    The commutator with its adjoint is the identity minus d |d-1><d-1|,
-    which is the footprint the truncation leaves behind.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    entries = np.zeros((d, d), dtype=complex)
-    ns = np.arange(1, d)
-    entries[ns - 1, ns] = np.sqrt(ns)
-    return QuditOperator(entries)
-
-
-def creation(d: int) -> QuditOperator:
-    """Truncated raising operator, the adjoint of annihilation(d)."""
-    return annihilation(d).dagger()
-
-
-def displacement_oracle(d: int, alpha: complex) -> QuditOperator:
-    """The unitary exp(alpha a+ - alpha* a) on the truncated space.
+def displacement_oracle(d: int, alpha: complex) -> np.ndarray:
+    """The unitary exp(alpha a+ - alpha* a) on the truncated space, as a
+    read-only d x d array; a is the truncated lowering operator,
+    a|n> = sqrt(n)|n-1>.
 
     Built by eigendecomposition of the Hermitian generator
     i(alpha a+ - alpha* a); exact unitarity to rounding, with no series
     truncation. This is the reference implementation the fast coefficient
     path is checked against.
     """
-    a = annihilation(d).entries
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    vals, vecs = np.linalg.eigh(1j * gen)
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    alpha = complex(alpha)
+    # The generator's eigenvalues are |alpha| times the roots of He_d, all
+    # inside 2 sqrt(d); past that bound they, or the phases, would overflow.
+    if not math.isfinite(abs(alpha) * 2.0 * math.sqrt(d)):
+        raise ValueError(
+            f"displacement amplitude must be finite and fit dimension {d}, got alpha={alpha}"
+        )
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    vals, vecs = np.linalg.eigh(1j * (alpha * a.T - alpha.conjugate() * a))
     u = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
-    return QuditOperator(u)
+    u.flags.writeable = False
+    return u
 
 
 def displaced_vacuum(d: int, alpha: complex) -> QuditState:
     """First column of the displacement unitary, as a normalized state."""
-    u = displacement_oracle(d, alpha)
-    return QuditState.from_amplitudes(u.entries[:, 0])
+    return QuditState.from_amplitudes(displacement_oracle(d, alpha)[:, 0])
 
 
 def fidelity(a: QuditState, b: QuditState) -> float:

@@ -1,5 +1,5 @@
-"""Probabilists' Hermite polynomials, their root/weight tables, associated
-Laguerre polynomials, and log-factorial tables.
+"""Probabilists' Hermite polynomials, their root/weight tables, and
+log-factorial tables.
 
 The probabilists' family He_n is the one orthogonal under the standard
 normal weight exp(-x^2/2); everything downstream (coefficient expansions,
@@ -24,24 +24,14 @@ from .errors import ConvergenceError
 __all__ = [
     "MAX_DEGREE",
     "HermiteRootTable",
-    "he_asymptotic",
     "he_eval",
     "he_roots",
-    "he_zero",
     "hermite_function_table",
-    "laguerre_eval",
-    "log_factorial",
-    "orthonormal_he_eval",
     "orthonormal_he_table",
 ]
 
 # Largest Hermite degree / Fock dimension the package commits to handling.
 MAX_DEGREE = 150
-
-
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
 
 
 def he_eval(n: int, x):
@@ -52,24 +42,12 @@ def he_eval(n: int, x):
     """
     if n < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n}")
-    arr, scalar = _as_float_array(x)
+    arr = np.asarray(x, dtype=float)
     prev = np.zeros_like(arr)
     cur = np.ones_like(arr)
     for k in range(n):
         prev, cur = cur, arr * cur - k * prev
-    return float(cur) if scalar else cur
-
-
-def orthonormal_he_eval(n: int, x):
-    """Orthonormal probabilists' Hermite polynomial p_n(x) = He_n(x)/sqrt(n!).
-
-    Row n of the orthonormal recurrence
-    p_{k+1} = (x p_k - sqrt(k) p_{k-1}) / sqrt(k+1),
-    which keeps every intermediate O(1) in the oscillatory region.
-    """
-    arr, scalar = _as_float_array(x)
-    row = _orthonormal_recurrence(n, arr, np.ones_like(arr))[n]
-    return float(row) if scalar else row
+    return float(cur) if arr.ndim == 0 else cur
 
 
 @lru_cache(maxsize=256)
@@ -147,39 +125,6 @@ def hermite_function_table(n_max: int, q) -> np.ndarray:
     )
 
 
-def he_zero(n: int) -> float:
-    """He_n(0): zero for odd n, (-1)^(n/2) (n-1)!! for even n."""
-    if n < 0:
-        raise ValueError(f"polynomial degree must be nonnegative, got {n}")
-    if n % 2:
-        return 0.0
-    acc = 1.0
-    for k in range(1, n, 2):
-        acc *= k
-    return acc if (n // 2) % 2 == 0 else -acc
-
-
-def he_asymptotic(n: int, x):
-    """Large-n oscillatory approximation of He_n near x = 0.
-
-    Even n:  He_n(0) e^(x^2/4) cos(x sqrt(n + 1/2))
-    Odd n:  -(He_{n+1}(0)/sqrt(n)) e^(x^2/4) sin(x sqrt(n + 1/2))
-
-    with He_n(0) from he_zero. Useful only as a cross-check of root
-    locations; production code always evaluates the exact recurrence.
-    """
-    if n < 0:
-        raise ValueError(f"polynomial degree must be nonnegative, got {n}")
-    arr, scalar = _as_float_array(x)
-    envelope = np.exp(arr * arr / 4.0)
-    freq = math.sqrt(n + 0.5)
-    if n % 2 == 0:
-        out = he_zero(n) * envelope * np.cos(arr * freq)
-    else:
-        out = (-he_zero(n + 1) / math.sqrt(n)) * envelope * np.sin(arr * freq)
-    return float(out) if scalar else out
-
-
 @dataclass(frozen=True)
 class HermiteRootTable:
     """Roots of He_d, their Christoffel weights, and the weighted polynomial
@@ -242,28 +187,6 @@ def he_roots(d: int) -> HermiteRootTable:
     for table in (roots, weights, weighted):
         table.flags.writeable = False
     return HermiteRootTable(roots=roots, christoffel=weights, weighted=weighted)
-
-
-def laguerre_eval(k: int, m: int, x):
-    """Associated Laguerre polynomial L_k^(m)(x) by the stable recurrence
-
-    (k+1) L_{k+1}^(m) = (2k + 1 + m - x) L_k^(m) - (k + m) L_{k-1}^(m).
-    """
-    if k < 0 or m < 0:
-        raise ValueError(f"laguerre indices must be nonnegative, got k={k}, m={m}")
-    arr, scalar = _as_float_array(x)
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    for j in range(k):
-        prev, cur = cur, ((2 * j + 1 + m - arr) * cur - (j + m) * prev) / (j + 1)
-    return float(cur) if scalar else cur
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) for one nonnegative integer n."""
-    if n < 0:
-        raise ValueError(f"factorial argument must be nonnegative, got {n}")
-    return math.lgamma(n + 1)
 
 
 @lru_cache(maxsize=256)

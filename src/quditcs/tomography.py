@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,20 +53,12 @@ def _check_point(q: float, theta: float) -> None:
         raise ValueError(f"tomogram point must be finite, got q={q}, theta={theta}")
 
 
-@lru_cache(maxsize=256)
-def _fock_indices(d: int) -> np.ndarray:
-    """0, 1, ..., d - 1, read-only."""
-    n = np.arange(d)
-    n.flags.writeable = False
-    return n
-
-
 def tomogram_closed_form(s: QuditState, q: float, theta: float) -> float:
     """w(q, theta) through the squared rotated wavefunction: one entry of
     _tomogram_rows, with the same bits, taken as one dot product."""
     _check_point(q, theta)
     psi = hermite_function_table(s.dim - 1, float(q))[:, 0]
-    rotated = complex(np.dot(s.amps * np.exp(-1j * float(theta) * _fock_indices(s.dim)), psi))
+    rotated = complex(np.dot(s.amps * np.exp(-1j * float(theta) * np.arange(s.dim)), psi))
     # Products, as in the array path: a float64 scalar's ** 2 calls pow,
     # which can round differently from x * x.
     return rotated.real * rotated.real + rotated.imag * rotated.imag

@@ -1,4 +1,4 @@
-"""Truncated ladder operators, displacement unitaries, states and fidelities."""
+"""Displacement unitaries, states and fidelities."""
 
 import math
 
@@ -7,10 +7,7 @@ import pytest
 
 from quditcs.errors import DimensionMismatchError, NullStateError
 from quditcs.fock import (
-    QuditOperator,
     QuditState,
-    annihilation,
-    creation,
     displaced_vacuum,
     displacement_oracle,
     fidelity,
@@ -19,41 +16,35 @@ from quditcs.fock import (
 )
 
 
-def test_annihilation_entries():
-    a = annihilation(4)
-    assert a.entries[0, 1] == 1.0
-    assert a.entries[1, 2] == pytest.approx(math.sqrt(2.0))
-    assert a.entries[2, 3] == pytest.approx(math.sqrt(3.0))
-    two = QuditState.basis(4, 2)
-    lowered = a.apply(two.amps)
-    np.testing.assert_allclose(lowered, math.sqrt(2.0) * QuditState.basis(4, 1).amps, atol=1e-15)
-    assert np.all(annihilation(1).entries == 0.0)
+def test_displacement_unitary_is_read_only():
+    u = displacement_oracle(4, 0.5 - 0.2j)
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        displacement_oracle(0, 0.5)
 
 
-def test_creation_is_adjoint():
-    a = annihilation(6)
-    np.testing.assert_array_equal(creation(6).entries, a.dagger().entries)
-
-
-def test_commutator_picks_up_corner_term():
-    d = 5
-    a = annihilation(d).entries
-    adag = creation(d).entries
-    comm = a @ adag - adag @ a
-    expected = np.eye(d, dtype=complex)
-    expected[d - 1, d - 1] = 1.0 - d
-    np.testing.assert_allclose(comm, expected, atol=1e-12)
+@pytest.mark.parametrize(
+    "alpha",
+    [math.nan, math.inf, complex(1.0, math.nan), -math.inf * 1j, 1e308 + 1e308j],
+    ids=["nan", "inf", "nan-imag", "-inf-imag", "overflowing-modulus"],
+)
+@pytest.mark.parametrize("build", [displacement_oracle, displaced_vacuum])
+def test_displacement_rejects_non_finite_alpha(build, alpha):
+    with pytest.raises(ValueError, match="alpha="):
+        build(4, alpha)
 
 
 def test_displacement_zero_is_identity():
     u = displacement_oracle(6, 0.0)
-    np.testing.assert_allclose(u.entries, np.eye(6), atol=1e-14)
+    np.testing.assert_allclose(u, np.eye(6), atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 5, 26, 101])
 @pytest.mark.parametrize("alpha", [0.3, 2.0 - 1.5j, -4j, 10.0])
 def test_displacement_unitarity(d, alpha):
-    u = displacement_oracle(d, alpha).entries
+    u = displacement_oracle(d, alpha)
     assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-10
 
 
@@ -82,8 +73,8 @@ def test_displacement_phase_covariance():
 
 def test_composition_holds_for_collinear_displacements():
     d = 5
-    u = displacement_oracle(d, 1.2).entries @ displacement_oracle(d, 0.6).entries
-    v = displacement_oracle(d, 1.8).entries
+    u = displacement_oracle(d, 1.2) @ displacement_oracle(d, 0.6)
+    v = displacement_oracle(d, 1.8)
     left = QuditState(u[:, 0])
     right = QuditState(v[:, 0])
     assert fidelity(left, right) >= 1.0 - 1e-12
@@ -93,9 +84,9 @@ def test_composition_fails_for_noncollinear_displacements():
     # The truncated generators do not commute to a phase, so stacking a real
     # and an imaginary displacement is not one diagonal displacement.
     d = 3
-    u = displacement_oracle(d, 1.0).entries @ displacement_oracle(d, 1.0j).entries
+    u = displacement_oracle(d, 1.0) @ displacement_oracle(d, 1.0j)
     composed = QuditState(u[:, 0])
-    direct = QuditState(displacement_oracle(d, 1.0 + 1.0j).entries[:, 0])
+    direct = QuditState(displacement_oracle(d, 1.0 + 1.0j)[:, 0])
     f = fidelity(composed, direct)
     assert f < 1.0 - 1e-6
     assert f == pytest.approx(1.0 - 0.353, abs=2e-3)
@@ -202,20 +193,8 @@ def test_state_json_roundtrip_is_bit_faithful():
     amps = rng.normal(size=7) + 1j * rng.normal(size=7)
     amps[3] = 0.1 + 0.2j  # not exactly representable, must survive untouched
     s = QuditState.from_amplitudes(amps)
-    back = QuditState.from_json_dict(s.to_json_dict())
-    assert np.all(back.amps == s.amps)
     payload = s.to_json_dict()
     assert payload["dim"] == 7
     assert len(payload["amps_re"]) == 7
-
-
-def test_operator_shape_checks():
-    with pytest.raises(ValueError):
-        QuditOperator(np.zeros((2, 3)))
-    op = annihilation(3)
-    with pytest.raises(DimensionMismatchError):
-        op.apply(np.zeros(4, dtype=complex))
-    with pytest.raises(DimensionMismatchError):
-        op @ annihilation(4)
-    prod = creation(3) @ annihilation(3)
-    np.testing.assert_allclose(np.diag(prod.entries).real, [0.0, 1.0, 2.0], atol=1e-14)
+    back = np.asarray(payload["amps_re"]) + 1j * np.asarray(payload["amps_im"])
+    assert back.tobytes() == s.amps.tobytes()

@@ -27,6 +27,19 @@ def test_star_import_binds_exactly_all():
     assert namespace["wigner_grid"] is quditcs.phase_space.wigner_grid
 
 
+@pytest.mark.parametrize("module_name", sorted(quditcs._EXPORTS))
+def test_star_import_of_each_submodule_binds_exactly_its_all(module_name):
+    # A name left in a submodule's __all__ after its definition is gone makes
+    # this star import fail; the package table draws on the same names.
+    module = importlib.import_module(f"quditcs.{module_name}")
+    namespace = {}
+    exec(f"from quditcs.{module_name} import *", namespace)
+    namespace.pop("__builtins__")
+    public = [name for name in vars(module) if not name.startswith("_")]
+    assert sorted(namespace) == sorted(getattr(module, "__all__", public))
+    assert set(quditcs._EXPORTS[module_name]) <= set(namespace)
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         quditcs.no_such_name

@@ -1,24 +1,18 @@
-"""Tests for the probabilists'-Hermite / Laguerre / factorial toolbox."""
+"""Tests for the probabilists'-Hermite / factorial toolbox."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre
 
 from quditcs import special_fn
 from quditcs.special_fn import (
     MAX_DEGREE,
-    he_asymptotic,
     he_eval,
     he_roots,
-    he_zero,
     hermite_function_table,
-    laguerre_eval,
-    log_factorial,
     log_factorial_array,
-    orthonormal_he_eval,
     orthonormal_he_table,
 )
 
@@ -64,20 +58,14 @@ def test_he_matches_physicists_scaling():
 
 def test_orthonormal_he_consistency():
     x = np.linspace(-3.0, 3.0, 11)
+    table = orthonormal_he_table(20, x)
+    assert table.shape == (21, 11)
     for n in range(21):
-        scaled = orthonormal_he_eval(n, x) * math.sqrt(math.factorial(n))
+        scaled = table[n] * math.sqrt(math.factorial(n))
         scale = np.abs(scaled) + 1.0
         assert np.max(np.abs(scaled - he_eval(n, x)) / scale) <= 1e-12
-    assert orthonormal_he_eval(0, 2.5) == 1.0
-    assert orthonormal_he_eval(3, 1.0) == pytest.approx(-2.0 / math.sqrt(6.0), rel=1e-13)
-
-
-def test_orthonormal_table_matches_scalar_path():
-    x = np.linspace(-5.0, 5.0, 9)
-    table = orthonormal_he_table(12, x)
-    assert table.shape == (13, 9)
-    for n in range(13):
-        np.testing.assert_allclose(table[n], orthonormal_he_eval(n, x), rtol=1e-13, atol=0.0)
+    assert orthonormal_he_table(0, 2.5)[0, 0] == 1.0
+    assert orthonormal_he_table(3, 1.0)[3, 0] == pytest.approx(-2.0 / math.sqrt(6.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 149, 399])
@@ -92,12 +80,6 @@ def test_one_point_recurrence_gives_the_bits_of_its_column(n_max):
                 one = build(n_max, arg)
                 assert one.shape == (n_max + 1,) + np.shape(np.atleast_1d(arg))
                 assert one.reshape(n_max + 1).tobytes() == table[:, j].tobytes()
-    top = orthonormal_he_table(n_max, xs)[n_max]
-    for j, x in enumerate(xs):
-        value = orthonormal_he_eval(n_max, float(x))
-        assert type(value) is float
-        assert np.float64(value).tobytes() == top[j].tobytes()
-        assert orthonormal_he_eval(n_max, [x]).shape == (1,)
 
 
 def test_orthonormal_high_degree_against_mpmath():
@@ -105,39 +87,15 @@ def test_orthonormal_high_degree_against_mpmath():
     with mpmath.workdps(60):
         h = mpmath.hermite(100, mpmath.mpf("0.5") / mpmath.sqrt(2))
         exact = float(h / 2**50 / mpmath.sqrt(mpmath.factorial(100)))
-    assert orthonormal_he_eval(100, 0.5) == pytest.approx(exact, rel=1e-9)
+    assert orthonormal_he_table(100, 0.5)[100, 0] == pytest.approx(exact, rel=1e-9)
 
 
 def test_he_zero():
-    assert he_zero(0) == 1.0
-    assert he_zero(1) == 0.0
-    assert he_zero(2) == -1.0
-    assert he_zero(4) == 3.0
-    assert he_zero(6) == -15.0
+    # He_n(0) is 0 for odd n and (-1)^(n/2) (n-1)!! for even n, exactly.
     for n in range(31):
-        assert he_zero(n) == he_eval(n, 0.0)
-
-
-def test_he_asymptotic_probes():
-    assert he_asymptotic(2, 0.0) == -1.0
-    approx = he_asymptotic(10, 0.1)
-    exact = he_eval(10, 0.1)
-    assert abs(approx - exact) / abs(exact) < 0.01
-
-
-@pytest.mark.parametrize("n", [11, 21, 41])
-def test_he_asymptotic_odd_degree_scale(n):
-    # The odd-n amplitude is n!!/sqrt(n); (n-1)!! in its place reads 62% to 80% low.
-    assert he_asymptotic(n, 0.1) == pytest.approx(he_eval(n, 0.1), rel=0.03)
-
-
-def test_he_asymptotic_sign_changes_near_estimated_roots():
-    # Interior roots of He_21 sit close to l*pi/sqrt(86) for small even l.
-    d = 21
-    spacing = math.pi / math.sqrt(4 * d + 2)
-    for l in range(-8, 9, 2):
-        r = l * spacing
-        assert he_asymptotic(d, r - 0.08) * he_asymptotic(d, r + 0.08) < 0.0
+        double_factorial = math.prod(range(n - 1, 0, -2))
+        expected = 0.0 if n % 2 else (-1.0) ** (n // 2) * double_factorial
+        assert he_eval(n, 0.0) == expected
 
 
 def test_he_roots_small_dimensions():
@@ -292,32 +250,6 @@ def test_he_roots_cached_and_frozen():
         he_roots(151)
 
 
-def test_laguerre_eval():
-    assert laguerre_eval(0, 5, 3.3) == 1.0
-    assert laguerre_eval(1, 0, 4.0) == -3.0
-    # L_3^(2)(x) as an explicit series
-    x = 1.5
-    series = sum(
-        (-1.0) ** i * math.comb(5, 3 - i) * x**i / math.factorial(i) for i in range(4)
-    )
-    assert laguerre_eval(3, 2, x) == pytest.approx(series, rel=1e-12)
-
-
-def test_laguerre_matches_series_and_scipy():
-    rng = np.random.default_rng(5)
-    xs = rng.uniform(0.0, 12.0, size=6)
-    for k in range(11):
-        for m in range(11):
-            for x in xs:
-                series = sum(
-                    (-1.0) ** i * math.comb(k + m, k - i) * x**i / math.factorial(i)
-                    for i in range(k + 1)
-                )
-                got = laguerre_eval(k, m, x)
-                assert abs(got - series) <= 1e-8 * (abs(series) + 1.0)
-    assert laguerre_eval(5, 3, 2.7) == pytest.approx(eval_genlaguerre(5, 3, 2.7), rel=1e-12)
-
-
 def test_log_factorial_cache():
     values = log_factorial_array(200)
     assert values[0] == 0.0
@@ -327,14 +259,6 @@ def test_log_factorial_cache():
         assert abs(diff - math.log(n)) <= 1e-13 * math.log(n)
     with pytest.raises(ValueError):
         log_factorial_array(-1)
-
-
-def test_log_factorial_helpers():
-    assert log_factorial(5) == pytest.approx(math.log(120.0), rel=1e-14)
-    # growing the shared cache must keep earlier entries intact
-    big = log_factorial(400)
-    assert big == pytest.approx(math.lgamma(401.0), rel=1e-12)
-    assert log_factorial(3) == pytest.approx(math.log(6.0), rel=1e-14)
     arr = log_factorial_array(10)
     assert arr.shape == (11,)
     assert not arr.flags.writeable
