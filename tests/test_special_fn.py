@@ -259,6 +259,9 @@ def test_log_factorial_cache():
         assert abs(diff - math.log(n)) <= 1e-13 * math.log(n)
     with pytest.raises(ValueError):
         log_factorial_array(-1)
+
+
+def test_log_factorial_helpers():
     arr = log_factorial_array(10)
     assert arr.shape == (11,)
     assert not arr.flags.writeable
