@@ -14,7 +14,8 @@ import importlib as _importlib
 
 __version__ = "0.1.0"
 
-# Each submodule and the names the package exports from it.
+# Each submodule and its public names: the submodule's __all__ and the names
+# the package exports from it.
 _EXPORTS = {
     "errors": (
         "AmplitudeFormatError",
@@ -56,8 +57,10 @@ _EXPORTS = {
     ),
     "special_fn": (
         "HermiteRootTable",
+        "MAX_DEGREE",
         "he_eval",
         "he_roots",
+        "hermite_function_table",
         "orthonormal_he_table",
     ),
     "tomography": (

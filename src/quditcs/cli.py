@@ -272,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if family:
             p.add_argument("--family", choices=FAMILIES, default="alpha")
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("state", help="emit one state vector")
     p.set_defaults(run=cmd_state)
@@ -304,19 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
         default="2,3,4,5,10,11,20,21,100,101",
         help="comma-separated dimensions",
     )
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("volume-sweep", help="emit nonclassical volume vs amplitude")
     p.set_defaults(run=cmd_volume_sweep)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--n-points", type=int, default=64, dest="n_points")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("photon-dist", help="emit photon statistics for both families")
     p.set_defaults(run=cmd_photon_dist)
     add_common(p, family=False)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True, help="output file path")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

@@ -1,7 +1,8 @@
 """Finite-dimensional Fock space: normalized states, the displacement
 unitary exp(alpha a+ - alpha* a) of the truncated ladder, fidelity measures
 between pure states and simple mixtures, and the radius a d-level state
-reaches in phase space (outer_radius).
+reaches in phase space (outer_radius), with the default grid window built
+on it.
 """
 
 from __future__ import annotations
@@ -11,28 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DimensionMismatchError, NullStateError
 
-__all__ = [
-    "QuditState",
-    "displaced_vacuum",
-    "displacement_oracle",
-    "fidelity",
-    "mixed_fidelity",
-    "outer_radius",
-    "photon_distribution",
-]
+__all__ = list(_EXPORTS["fock"])
 
 _NORM_TOL = 1e-10
 _NULL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuditState:
     """A normalized pure state on a d-dimensional Fock ladder.
 
     The amplitude vector is validated to be finite and of unit norm (within
     1e-10) and made read-only, so instances are safe to share across threads.
+    States compare and hash by identity; compare amps, or use fidelity.
     """
 
     amps: np.ndarray
@@ -161,3 +156,10 @@ def outer_radius(d: int) -> float:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     return math.sqrt(d - 1.0) + math.sqrt(0.5 * math.log(2.0))
+
+
+def _grid_half_width(d: int) -> float:
+    """Half-width of the default grid window of a d-level state in the
+    Wigner plane, outer_radius(d) + 2: wigner_grid's square, and the
+    tomogram's q window once stretched by sqrt(2) into tomogram units."""
+    return outer_radius(d) + 2.0

@@ -40,22 +40,12 @@ from itertools import islice
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import _EXPORTS
 from .errors import ConvergenceError
-from .fock import QuditState, outer_radius
+from .fock import QuditState, _grid_half_width, outer_radius
 from .special_fn import hermite_function_table, log_factorial_array
 
-__all__ = [
-    "PhasePoint",
-    "WignerGrid",
-    "nonclassical_volume",
-    "outer_radius",
-    "wigner_cross",
-    "wigner_fock",
-    "wigner_grid",
-    "wigner_mixture",
-    "wigner_state",
-    "wigner_values",
-]
+__all__ = list(_EXPORTS["phase_space"])
 
 TWO_OVER_PI = 2.0 / math.pi
 SQRT2 = math.sqrt(2.0)
@@ -251,7 +241,7 @@ def wigner_mixture(s: QuditState, pt: PhasePoint) -> float:
 _WEYL_PLAN_CACHE = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _WeylPlan:
     """Everything of a Weyl grid (_weyl_grid) that depends only on d and the axes.
 
@@ -414,7 +404,7 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     """W sampled on a uniform rectangle; values[i, j] = W(q_i, p_j)."""
 
@@ -464,15 +454,15 @@ def wigner_grid(
     """Sample W on a uniform grid.
 
     window is (q_min, q_max, p_min, p_max); None means the square of
-    half-width outer_radius(dim) + 2 centered at the origin. Values come
-    from the Weyl transform of the sampled wavefunction (two matrix
-    products, see _weyl_grid) and agree with the pointwise Laguerre sweep to
-    rounding.
+    half-width _grid_half_width(dim) = outer_radius(dim) + 2 centered at the
+    origin. Values come from the Weyl transform of the sampled wavefunction
+    (two matrix products, see _weyl_grid) and agree with the pointwise
+    Laguerre sweep to rounding.
     """
     if nq < 16 or npts < 16:
         raise ValueError(f"grid needs at least 16 points per axis, got {nq} x {npts}")
     if window is None:
-        hw = outer_radius(s.dim) + 2.0
+        hw = _grid_half_width(s.dim)
         window = (-hw, hw, -hw, hw)
     q_min, q_max, p_min, p_max = (float(v) for v in window)
     if not (q_min < q_max and p_min < p_max):

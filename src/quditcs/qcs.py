@@ -19,23 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ConvergenceError, DimensionMismatchError, NullStateError
 from .fock import QuditState
 from .special_fn import he_roots, log_factorial_array
 # Unused here, but the benchmark's traced mode wraps quditcs.qcs.orthonormal_he_table by name.
 from .special_fn import orthonormal_he_table
 
-__all__ = [
-    "QcsParams",
-    "Quasiperiod",
-    "cat_state",
-    "closed_form_qcs",
-    "complementary_state",
-    "linear_qcs",
-    "nonlinear_qcs",
-    "parity_coefficients",
-    "quasiperiod",
-]
+__all__ = list(_EXPORTS["qcs"])
 
 
 def _dimension(d) -> int:
@@ -118,8 +109,7 @@ _FACTOR_CACHE = 4
 @lru_cache(maxsize=_FACTOR_CACHE)
 def _displacement_column(d: int, modulus: float) -> np.ndarray:
     """The real vector r of the displacement coefficients
-    c_n = e^{i n phi0} r_n before normalization (_raw_coefficients),
-    read-only:
+    c_n = e^{i n phi0} r_n before normalization (_coefficients), read-only:
 
     r_n = (-1)^floor(n/2) 2 sum_{x_+} w p_n(x) f_n(x |alpha|)
 
@@ -184,25 +174,28 @@ def _phases(d: int, phi0: float) -> np.ndarray:
     return ph
 
 
-def _phased(magnitudes: np.ndarray, phi0: float) -> np.ndarray:
-    """e^{i n phi0} m_n as a fresh complex array; at phi0 = 0 the magnitudes
-    themselves, so their imaginary parts are exactly 0."""
+def _coefficients(kind: str, params: QcsParams) -> np.ndarray:
+    """Coefficients c_n = e^{i n phi0} m_n of a coherent-family state before
+    normalization, as a fresh array.
+
+    Family 'alpha' takes the real m of the displacement family,
+    m_n = e^{-i n pi/2} sum_k w_k p_n(x_k) e^{i x_k |alpha|} over the roots
+    x_k of He_d with Christoffel weights w_k, from _displacement_column;
+    family 'beta' takes m_n proportional to
+    |beta|^n / sqrt(n!) from _series_magnitudes, and a zero amplitude gives
+    the vacuum. At phi0 = 0 the result is a copy of m, so real positive
+    amplitudes give imaginary parts exactly 0.
+    """
+    d, modulus, phi0 = params.dim, params.modulus, params.phi0
+    if kind == "alpha":
+        magnitudes = _displacement_column(d, modulus)
+    elif kind == "beta":
+        magnitudes = _series_magnitudes(d, modulus) if modulus else np.eye(1, d)[0]
+    else:
+        raise ValueError(f"unknown coherent family {kind!r}, expected 'alpha' or 'beta'")
     if phi0 == 0.0:
         return magnitudes.astype(complex)
-    return _phases(magnitudes.size, phi0) * magnitudes
-
-
-def _raw_coefficients(d: int, modulus: float, phi0: float) -> np.ndarray:
-    """Displacement coefficients before normalization, as a fresh array:
-
-    c_n = e^{i n (phi0 - pi/2)} sum_k w_k p_n(x_k) e^{i x_k |alpha|}
-
-    over all roots x_k of He_d with Christoffel weights w_k, assembled as
-    c_n = e^{i n phi0} r_n from the cached real r of _displacement_column.
-    At phi0 = 0 the result is r itself, so real positive amplitudes give
-    imaginary parts exactly 0.
-    """
-    return _phased(_displacement_column(d, modulus), phi0)
+    return _phases(d, phi0) * magnitudes
 
 
 def nonlinear_qcs(params: QcsParams) -> QuditState:
@@ -212,22 +205,7 @@ def nonlinear_qcs(params: QcsParams) -> QuditState:
     exponential, which keeps every intermediate O(1) up to the maximum
     supported dimension.
     """
-    return QuditState.from_amplitudes(
-        _raw_coefficients(params.dim, params.modulus, params.phi0)
-    )
-
-
-def _series_coefficients(params: QcsParams) -> np.ndarray:
-    """Truncated exp-series coefficients beta^n / sqrt(n!) before
-    normalization, scaled so the largest modulus is 1, as a fresh array
-    (magnitudes from _series_magnitudes); a zero amplitude gives the
-    vacuum."""
-    d = params.dim
-    if params.modulus == 0.0:
-        amps = np.zeros(d, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    return _phased(_series_magnitudes(d, params.modulus), params.phi0)
+    return QuditState.from_amplitudes(_coefficients("alpha", params))
 
 
 def linear_qcs(params: QcsParams) -> QuditState:
@@ -235,7 +213,7 @@ def linear_qcs(params: QcsParams) -> QuditState:
 
     c_n proportional to beta^n / sqrt(n!), renormalized on the truncated space.
     """
-    return QuditState.from_amplitudes(_series_coefficients(params))
+    return QuditState.from_amplitudes(_coefficients("beta", params))
 
 
 def cat_state(kind: str, sign: str, params: QcsParams) -> QuditState:
@@ -246,12 +224,7 @@ def cat_state(kind: str, sign: str, params: QcsParams) -> QuditState:
     -amplitude, since flipping the amplitude sign flips the sign of every
     odd-index coefficient.
     """
-    if kind == "alpha":
-        raw = _raw_coefficients(params.dim, params.modulus, params.phi0)
-    elif kind == "beta":
-        raw = _series_coefficients(params)
-    else:
-        raise ValueError(f"unknown coherent family {kind!r}, expected 'alpha' or 'beta'")
+    raw = _coefficients(kind, params)
     if sign == "even":
         drop = 1
     elif sign == "odd":
@@ -328,7 +301,7 @@ def parity_coefficients(d: int, alpha_mod: float):
     """Displacement coefficients at phase 0 split by Fock-index parity.
 
     Returns (even_part, odd_part): the unnormalized coefficient vector of
-    _raw_coefficients with its odd-index, respectively even-index, entries
+    _displacement_column with its odd-index, respectively even-index, entries
     set to zero, so the two parts sum to it. A negative or non-finite
     modulus raises ValueError, and so does one large enough that the root
     phases x_k * alpha_mod overflow (past about 7.6e306 at d = 150).

@@ -19,16 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ConvergenceError
 
-__all__ = [
-    "MAX_DEGREE",
-    "HermiteRootTable",
-    "he_eval",
-    "he_roots",
-    "hermite_function_table",
-    "orthonormal_he_table",
-]
+__all__ = list(_EXPORTS["special_fn"])
 
 # Largest Hermite degree / Fock dimension the package commits to handling.
 MAX_DEGREE = 150
@@ -125,7 +119,7 @@ def hermite_function_table(n_max: int, q) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermiteRootTable:
     """Roots of He_d, their Christoffel weights, and the weighted polynomial
     matrix, all read-only; d = roots.size.

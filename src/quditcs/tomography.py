@@ -24,21 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import QuditState, outer_radius
+from . import _EXPORTS
+from .fock import QuditState, _grid_half_width
 from .special_fn import hermite_function_table
 
-__all__ = [
-    "Tomogram",
-    "tomogram_closed_form",
-    "tomogram_from_wigner",
-    "tomogram_grid",
-]
-
-
-def _q_half_width(d: int) -> float:
-    """Half-width of the tomogram q window: the Wigner-plane radius
-    outer_radius(d) + 2 in tomogram units, which stretch it by sqrt(2)."""
-    return math.sqrt(2.0) * (outer_radius(d) + 2.0)
+__all__ = list(_EXPORTS["tomography"])
 
 
 def _tomogram_rows(amps: np.ndarray, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -90,7 +80,7 @@ def tomogram_from_wigner(s: QuditState, q: float, theta: float) -> float:
     return float(h * line.sum() / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tomogram:
     """w sampled on uniform grids; values[i, j] = w(q_grid[j], theta_grid[i])."""
 
@@ -124,14 +114,15 @@ def tomogram_grid(
     ntheta: int = 181,
     state_meta: str | None = None,
 ) -> Tomogram:
-    """Sample the tomogram on q in [-_q_half_width(dim), _q_half_width(dim)]
-    and theta in [0, 2 pi] (both ends included).
+    """Sample the tomogram on q in [-hw, hw], with hw = sqrt(2)
+    _grid_half_width(dim) the default Wigner window in tomogram units, and
+    theta in [0, 2 pi] (both ends included).
 
     All rows come from one (ntheta x d) @ (d x nq) product.
     """
     if nq < 32 or ntheta < 32:
         raise ValueError(f"grid needs at least 32 points per axis, got {nq} x {ntheta}")
-    hw = _q_half_width(s.dim)
+    hw = math.sqrt(2.0) * _grid_half_width(s.dim)
     qs = np.linspace(-hw, hw, nq)
     thetas = np.linspace(0.0, 2.0 * math.pi, ntheta)
     values = _tomogram_rows(s.amps, qs, thetas)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -453,6 +454,22 @@ print(json.dumps(codes))
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "command", ["state", "wigner", "tomogram", "fidelity-table", "volume-sweep", "photon-dist"]
+)
+def test_every_command_takes_the_same_output_options(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert re.search(r"--out OUT\s+output file path\n", text), text
+    assert "--format {csv,json}" in text
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_exit_codes_are_distinct():

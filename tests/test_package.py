@@ -37,7 +37,36 @@ def test_star_import_of_each_submodule_binds_exactly_its_all(module_name):
     namespace.pop("__builtins__")
     public = [name for name in vars(module) if not name.startswith("_")]
     assert sorted(namespace) == sorted(getattr(module, "__all__", public))
-    assert set(quditcs._EXPORTS[module_name]) <= set(namespace)
+    assert sorted(namespace) == sorted(quditcs._EXPORTS[module_name])
+    if hasattr(module, "__all__"):
+        # The package table is the one list: each submodule's __all__ is a copy.
+        assert module.__all__ == list(quditcs._EXPORTS[module_name])
+
+
+def test_special_fn_star_import_binds_its_constants_and_wavefunctions():
+    namespace = {}
+    exec("from quditcs.special_fn import *", namespace)
+    assert namespace["MAX_DEGREE"] == 150
+    assert namespace["hermite_function_table"] is quditcs.special_fn.hermite_function_table
+
+
+_VALUE_MAKERS = {
+    "state": lambda s: quditcs.QuditState(s.amps),
+    "wigner_grid": lambda s: quditcs.wigner_grid(s, nq=16, npts=16),
+    "tomogram": lambda s: quditcs.tomogram_grid(s, nq=32, ntheta=32),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VALUE_MAKERS))
+def test_states_and_grids_compare_and_hash_by_identity(kind):
+    # They hold arrays, whose == is elementwise; a field-wise == or hash
+    # would raise instead of answering.
+    s = quditcs.nonlinear_qcs(quditcs.QcsParams(4, 1.1))
+    a, b = _VALUE_MAKERS[kind](s), _VALUE_MAKERS[kind](s)
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a)
+    assert len({a, a, b}) == 2
+    assert a in {a} and b not in {a}
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

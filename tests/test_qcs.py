@@ -19,7 +19,7 @@ from quditcs.qcs import (
     nonlinear_qcs,
     parity_coefficients,
     quasiperiod,
-    _raw_coefficients,
+    _coefficients,
 )
 from quditcs.special_fn import HermiteRootTable, he_eval, he_roots, orthonormal_he_table
 
@@ -97,7 +97,7 @@ def test_nonlinear_matches_matrix_exponential(d, amp):
 @pytest.mark.parametrize("d", [3, 8, 17])
 def test_raw_coefficients_come_out_normalized(d):
     for amp in (0.5, quasiperiod(d).value / 2.0, 3.7):
-        raw = _raw_coefficients(d, amp, 0.4)
+        raw = _coefficients("alpha", QcsParams(d, cmath.rect(amp, 0.4)))
         assert abs(np.vdot(raw, raw).real - 1.0) <= 1e-10
 
 
@@ -204,7 +204,7 @@ def test_factor_caches_give_the_recomputed_bits(d):
 
 
 def test_cat_state_at_zero_phase_leaves_the_cached_factors_alone():
-    # cat_state zeroes entries of _raw_coefficients' result in place; at
+    # cat_state zeroes entries of _coefficients' result in place; at
     # phi0 = 0 that result must still be a copy of the cached column.
     params = QcsParams(12, 1.3)
     alpha = nonlinear_qcs(params).amps.tobytes()
@@ -225,10 +225,11 @@ def test_factor_caches_are_read_only():
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0] = 1.0
-    for phi0 in (0.0, 0.7):
-        raw = _raw_coefficients(12, 1.3, phi0)
-        assert raw.flags.writeable
-        assert not np.shares_memory(raw, qcs._displacement_column(12, 1.3))
+    for kind, factor in (("alpha", qcs._displacement_column), ("beta", qcs._series_magnitudes)):
+        for phi0 in (0.0, 0.7):
+            raw = _coefficients(kind, QcsParams(12, cmath.rect(1.3, phi0)))
+            assert raw.flags.writeable
+            assert not np.shares_memory(raw, factor(12, 1.3))
 
 
 def test_factor_caches_hold_at_most_four_amplitudes():
@@ -417,7 +418,7 @@ def test_parity_split_recombines(d):
     n = np.arange(d)
     assert np.all(even[n % 2 == 1] == 0.0)
     assert np.all(odd[n % 2 == 0] == 0.0)
-    np.testing.assert_allclose(even + odd, _raw_coefficients(d, amp, 0.0), atol=1e-10)
+    np.testing.assert_allclose(even + odd, _coefficients("alpha", QcsParams(d, amp)), atol=1e-10)
 
 
 def test_parity_split_at_zero_amplitude_is_vacuum():
