@@ -21,6 +21,19 @@ _NORM_TOL = 1e-10
 _NULL_TOL = 1e-12
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a 1-D float or complex array, with the bits of
+    np.linalg.norm(v) without its Python-level dispatch: the same contiguous
+    ravel, the same dot products (of the real and imaginary parts, for
+    complex v) added in the same order, and a correctly rounded square root.
+    """
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        real, imag = v.real, v.imag
+        return math.sqrt(real.dot(real) + imag.dot(imag))
+    return math.sqrt(v.dot(v))
+
+
 @dataclass(frozen=True, eq=False)
 class QuditState:
     """A normalized pure state on a d-dimensional Fock ladder.
@@ -38,7 +51,7 @@ class QuditState:
             raise ValueError("amplitudes must form a nonempty vector")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state vector has norm {norm:.17g}, expected 1")
         amps = amps.copy()
@@ -55,12 +68,13 @@ class QuditState:
 
         The input is validated once, here: a finite vector divided by its
         own finite, nonzero norm is finite, unaliased and of unit norm to
-        rounding, so __post_init__'s checks and copy are skipped.
+        rounding, so __post_init__'s checks and copy are skipped. The norm
+        is _norm's, which has the bits of np.linalg.norm.
         """
         amps = np.atleast_1d(np.asarray(amps, dtype=complex))
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must form a nonempty vector")
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         if not np.isfinite(norm):
             raise ValueError("amplitudes must be finite")
         if norm < _NULL_TOL:

@@ -298,9 +298,12 @@ def _weyl_plan(d: int, q_bytes: bytes, p_bytes: bytes, real: bool) -> _WeylPlan 
     lo, hi = -stride * ks[-1], 2.0 * fine * (n_rows - 1) + stride * ks[-1]
     if hi - lo + 1 <= 2 * n_rows * ks.size:
         # x_i +- y_k are nodes -lo + 2 fine i +- stride k of one dense sample.
+        # A lone row, as on any window far wider than the reach, takes row
+        # step 0: 2 fine nodes would overflow int64 strides past about 1e19.
+        row_step = 2 * fine if n_rows > 1 else 0
         nodes = np.arange(lo, hi + 1)
-        plus = (int(-lo), 2 * fine, int(stride))
-        minus = (int(-lo), 2 * fine, -int(stride))
+        plus = (int(-lo), row_step, int(stride))
+        minus = (int(-lo), row_step, -int(stride))
     else:
         # A window much narrower than h: sample psi at the kernel's points.
         centre = 2.0 * fine * np.arange(n_rows)[:, None]

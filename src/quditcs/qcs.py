@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import ConvergenceError, DimensionMismatchError, NullStateError
-from .fock import QuditState
+from .fock import QuditState, _norm
 from .special_fn import he_roots, log_factorial_array
 # Unused here, but the benchmark's traced mode wraps quditcs.qcs.orthonormal_he_table by name.
 from .special_fn import orthonormal_he_table
@@ -144,7 +144,7 @@ def _displacement_column(d: int, modulus: float) -> np.ndarray:
     r[1::2] = 2.0 * (half[1::2] @ np.sin(phases))
     r[2::4] *= -1.0
     r[3::4] *= -1.0
-    deviation = abs(np.linalg.norm(r) - 1.0)
+    deviation = abs(_norm(r) - 1.0)
     if not deviation <= _RAW_NORM_TOL:
         raise ConvergenceError(
             f"displacement coefficients at d={d}, |alpha|={modulus} have norm "

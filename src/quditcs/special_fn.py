@@ -50,25 +50,26 @@ def _sqrt_table(n_max: int) -> tuple:
     return tuple(math.sqrt(k) for k in range(n_max + 1))
 
 
-def _orthonormal_recurrence(n_max: int, x: np.ndarray, seed: np.ndarray) -> np.ndarray:
+def _orthonormal_recurrence(n_max: int, x, seed) -> np.ndarray:
     """Rows seed * p_0(x) .. seed * p_{n_max}(x) of the orthonormal recurrence.
 
     The recurrence is linear in its rows, so the seed scales all of them;
     seeding with a Gaussian keeps the Hermite functions bounded where p_n
     alone would overflow.
 
-    A single point steps on Python floats: a numpy step on a one-element
-    array costs about 6 us of call overhead against 0.3 us for the float
-    arithmetic. It reads sqrt(k) from _sqrt_table instead of calling
-    math.sqrt twice a step. The operations and their order are those of the
-    array path, so both give the same bits; the result has the same shape,
-    (n_max + 1,) + x.shape, either way.
+    x and seed are arrays of one shape, or one point as two Python floats,
+    which counts as the shape (1,). A single point steps on Python floats:
+    a numpy step on a one-element array costs about 6 us of call overhead
+    against 0.3 us for the float arithmetic. It reads sqrt(k) from
+    _sqrt_table instead of calling math.sqrt twice a step. The operations
+    and their order are those of the array path, so both give the same bits;
+    the result has the same shape, (n_max + 1,) + x.shape, either way.
     """
     if n_max < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n_max}")
-    if x.size == 1:
-        xv = x.item()
-        prev = seed.item()
+    point = isinstance(x, float)
+    if point or x.size == 1:
+        xv, prev, shape = (x, seed, (1,)) if point else (x.item(), seed.item(), x.shape)
         rows = [prev]
         if n_max >= 1:
             cur = xv * prev
@@ -77,7 +78,7 @@ def _orthonormal_recurrence(n_max: int, x: np.ndarray, seed: np.ndarray) -> np.n
             for k in range(1, n_max):
                 prev, cur = cur, (xv * cur - sqrt_k[k] * prev) / sqrt_k[k + 1]
                 rows.append(cur)
-        return np.array(rows).reshape((n_max + 1,) + x.shape)
+        return np.array(rows).reshape((n_max + 1,) + shape)
     table = np.empty((n_max + 1,) + x.shape)
     table[0] = seed
     if n_max >= 1:
@@ -111,12 +112,20 @@ def hermite_function_table(n_max: int, q) -> np.ndarray:
     the orthonormal (vacuum variance 1/2) Hermite-Gauss functions. The
     Gaussian seeds the recurrence, so values underflow to zero far out
     instead of overflowing, at any finite q (_Q_CAP).
+
+    A float q (Python or np.float64) takes the float route: its clamp,
+    sqrt(2) q and -q^2/2 are Python float operations, only the Gaussian
+    comes from np.exp, and the recurrence steps on floats. It gives the bits
+    and the (n_max + 1, 1) shape of a one-element array q.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    q = np.minimum(np.maximum(q, -_Q_CAP), _Q_CAP)
-    return _orthonormal_recurrence(
-        n_max, math.sqrt(2.0) * q, math.pi**-0.25 * np.exp(-0.5 * q * q)
-    )
+    if isinstance(q, float):
+        q = min(max(float(q), -_Q_CAP), _Q_CAP)
+        gauss = float(np.exp(-0.5 * q * q))
+    else:
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        q = np.minimum(np.maximum(q, -_Q_CAP), _Q_CAP)
+        gauss = np.exp(-0.5 * q * q)
+    return _orthonormal_recurrence(n_max, math.sqrt(2.0) * q, math.pi**-0.25 * gauss)
 
 
 @dataclass(frozen=True, eq=False)

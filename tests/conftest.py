@@ -1,8 +1,16 @@
+import os
 import re
+from pathlib import Path
 
 import pytest
 
 from quditcs import phase_space, qcs
+
+# Child interpreters (the CLI round trips) import quditcs from the source
+# tree that pyproject.toml's pythonpath gives pytest itself, so a bare
+# `python -m pytest` needs no PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 _CRITERIA = {
     1: "fidelity table reproduction",

@@ -247,6 +247,16 @@ def test_tiny_window_exit_codes(tmp_path):
     assert not out.exists()
 
 
+def test_huge_window_exit_code(tmp_path):
+    # Far wider than the state's reach: only the row and column at the
+    # origin are nonzero, and no node stride may overflow.
+    out = tmp_path / "w.csv"
+    args = ["wigner", "--dim", "4", "--window", "1e20", "--out", str(out)]
+    assert cli.main(args) == 0
+    values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+    assert np.isfinite(values).all() and values.any()
+
+
 def test_domain_errors_exit_3(tmp_path):
     out = str(tmp_path / "x.csv")
     # d = 151 is past the largest Hermite root table (special_fn.MAX_DEGREE).

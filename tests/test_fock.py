@@ -8,6 +8,7 @@ import pytest
 from quditcs.errors import DimensionMismatchError, NullStateError
 from quditcs.fock import (
     QuditState,
+    _norm,
     displaced_vacuum,
     displacement_oracle,
     fidelity,
@@ -168,6 +169,32 @@ def test_from_amplitudes_returns_an_unaliased_read_only_unit_vector():
             kept = s.amps.copy()
             amps[:] = 7.0
             assert s.amps.tobytes() == kept.tobytes()
+
+
+def test_norm_has_the_bytes_of_numpy_norm():
+    # _norm skips np.linalg.norm's Python layers but must keep its bits, also
+    # where the sum of squares overflows to inf or an entry is NaN.
+    rng = np.random.default_rng(31)
+    for d in range(1, 151):
+        real = rng.normal(size=d)
+        vectors = [real, real + 1j * rng.normal(size=d), 1e200 * real, 1e200j * real]
+        nan = real + 1j * rng.normal(size=d)
+        nan[d // 2] = complex(math.nan, 1.0)
+        vectors += [nan, np.where(np.arange(d) == 0, math.nan, nan.imag)]
+        # A matrix column, as displaced_vacuum passes it: strided, not contiguous.
+        vectors.append(np.outer(vectors[1], [1.0, 2.0])[:, 0])
+        if d == 1:
+            # Each part's square is finite and their sum overflows.
+            vectors.append(np.array([1.2e154 + 1.2e154j]))
+        for v in vectors:
+            with np.errstate(over="ignore"):
+                assert np.float64(_norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+    # Overflow signals alike on both routes: in the dot, or in the float64 add.
+    for v in (1e200 * real, np.array([1.2e154 + 1.2e154j])):
+        for norm in (_norm, np.linalg.norm):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                norm(v)
+    assert math.isnan(_norm(nan))
 
 
 def test_state_basis_and_dim():

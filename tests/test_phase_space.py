@@ -374,12 +374,14 @@ def test_wigner_grid_sampling_regimes_match_laguerre_sweep(d, half_width, nq, np
 
 def test_wigner_grid_on_a_huge_window_matches_laguerre_sweep():
     # Only the origin lies inside the state's support; the rest must come
-    # out as zeros without sampling psi on a 1e5-wide axis.
+    # out as zeros without sampling psi on a 1e5-wide axis. Past about 1e19
+    # the lone row's step of 2 fine nodes would overflow int64 strides.
     s = _random_state(6, 61)
-    grid = wigner_grid(s, window=(-1e4, 1e4, -1e5, 1e5), nq=21, npts=21)
-    reference = _eval_wigner(s.amps, grid.q_axis()[:, None], grid.p_axis()[None, :])
-    assert abs(reference[10, 10]) > 1e-3
-    assert np.max(np.abs(grid.values - reference)) <= 1e-12
+    for w in (1e4, 1e20, 1e300):
+        grid = wigner_grid(s, window=(-w, w, -10.0 * w, 10.0 * w), nq=21, npts=21)
+        reference = _eval_wigner(s.amps, grid.q_axis()[:, None], grid.p_axis()[None, :])
+        assert abs(reference[10, 10]) > 1e-3
+        assert np.max(np.abs(grid.values - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])

@@ -1,5 +1,6 @@
 """Tests for the probabilists'-Hermite / factorial toolbox."""
 
+import contextlib
 import math
 
 import mpmath
@@ -68,18 +69,31 @@ def test_orthonormal_he_consistency():
     assert orthonormal_he_table(3, 1.0)[3, 0] == pytest.approx(-2.0 / math.sqrt(6.0), rel=1e-13)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bytes, except that a NaN compares equal to any NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 149, 399])
 def test_one_point_recurrence_gives_the_bits_of_its_column(n_max):
-    # A single point steps on floats; it must match the array path bit for bit,
-    # also where the Gaussian seed underflows (x = 40).
-    xs = np.array([0.0, -0.7, 3.3, 40.0])
+    # A single point steps on floats, and a float q of hermite_function_table
+    # takes its clamp and seed argument on floats too; both must match the
+    # array path bit for bit: at signed zeros, where the Gaussian seed
+    # underflows (x = 40), at and past the q cap, and at infinities (where
+    # the uncapped orthonormal rows overflow, and turn NaN).
+    cap = special_fn._Q_CAP
+    xs = np.array([0.0, -0.0, -0.7, 3.3, 40.0, cap, -cap, 2.0 * cap, -1e300, np.inf, -np.inf])
     for build in (orthonormal_he_table, hermite_function_table):
-        table = build(n_max, xs)
-        for j, x in enumerate(xs):
-            for arg in (x, [x], np.array([[x]])):
-                one = build(n_max, arg)
-                assert one.shape == (n_max + 1,) + np.shape(np.atleast_1d(arg))
-                assert one.reshape(n_max + 1).tobytes() == table[:, j].tobytes()
+        # hermite_function_table runs under the suite's RuntimeWarning filter.
+        quiet = build is orthonormal_he_table
+        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            table = build(n_max, xs)
+            for j, x in enumerate(xs):
+                for arg in (float(x), np.float64(x), [x], np.array([[x]])):
+                    one = build(n_max, arg)
+                    assert one.shape == (n_max + 1,) + np.shape(np.atleast_1d(arg))
+                    assert _same_bits(one.reshape(n_max + 1), table[:, j])
 
 
 def test_orthonormal_high_degree_against_mpmath():
