@@ -69,13 +69,17 @@ class QuditState:
         The input is validated once, here: a finite vector divided by its
         own finite, nonzero norm is finite, unaliased and of unit norm to
         rounding, so __post_init__'s checks and copy are skipped. The norm
-        is _norm's, which has the bits of np.linalg.norm.
+        is _norm's, which has the bits of np.linalg.norm; it is a Python
+        float, so math.isfinite checks it, and a scalar becomes a
+        one-entry vector, as np.atleast_1d would make it.
         """
-        amps = np.atleast_1d(np.asarray(amps, dtype=complex))
+        amps = np.asarray(amps, dtype=complex)
+        if amps.ndim == 0:
+            amps = amps.reshape(1)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amplitudes must form a nonempty vector")
         norm = _norm(amps)
-        if not np.isfinite(norm):
+        if not math.isfinite(norm):
             raise ValueError("amplitudes must be finite")
         if norm < _NULL_TOL:
             raise NullStateError("cannot normalize a (numerically) zero vector")

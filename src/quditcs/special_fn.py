@@ -45,9 +45,10 @@ def he_eval(n: int, x):
 
 
 @lru_cache(maxsize=256)
-def _sqrt_table(n_max: int) -> tuple:
-    """(math.sqrt(0), ..., math.sqrt(n_max)) as Python floats, read-only."""
-    return tuple(math.sqrt(k) for k in range(n_max + 1))
+def _step_factors(n_max: int) -> tuple:
+    """((math.sqrt(k), math.sqrt(k + 1)) for k = 1 .. n_max - 1), the
+    factors of the one-point recurrence's steps, as Python floats."""
+    return tuple((math.sqrt(k), math.sqrt(k + 1)) for k in range(1, n_max))
 
 
 def _orthonormal_recurrence(n_max: int, x, seed) -> np.ndarray:
@@ -60,10 +61,11 @@ def _orthonormal_recurrence(n_max: int, x, seed) -> np.ndarray:
     x and seed are arrays of one shape, or one point as two Python floats,
     which counts as the shape (1,). A single point steps on Python floats:
     a numpy step on a one-element array costs about 6 us of call overhead
-    against 0.3 us for the float arithmetic. It reads sqrt(k) from
-    _sqrt_table instead of calling math.sqrt twice a step. The operations
-    and their order are those of the array path, so both give the same bits;
-    the result has the same shape, (n_max + 1,) + x.shape, either way.
+    against 0.3 us for the float arithmetic. Each step reads its factor pair
+    from _step_factors instead of calling math.sqrt twice, and the rows go
+    into one np.fromiter. The operations and their order are those of the
+    array path, so both give the same bits; the result has the same shape,
+    (n_max + 1,) + x.shape, either way.
     """
     if n_max < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n_max}")
@@ -73,12 +75,12 @@ def _orthonormal_recurrence(n_max: int, x, seed) -> np.ndarray:
         rows = [prev]
         if n_max >= 1:
             cur = xv * prev
-            rows.append(cur)
-            sqrt_k = _sqrt_table(n_max)
-            for k in range(1, n_max):
-                prev, cur = cur, (xv * cur - sqrt_k[k] * prev) / sqrt_k[k + 1]
-                rows.append(cur)
-        return np.array(rows).reshape((n_max + 1,) + shape)
+            append = rows.append
+            append(cur)
+            for a, b in _step_factors(n_max):
+                prev, cur = cur, (xv * cur - a * prev) / b
+                append(cur)
+        return np.fromiter(rows, float, n_max + 1).reshape((n_max + 1,) + shape)
     table = np.empty((n_max + 1,) + x.shape)
     table[0] = seed
     if n_max >= 1:

@@ -31,8 +31,24 @@ from .special_fn import hermite_function_table
 __all__ = list(_EXPORTS["tomography"])
 
 
+_TWO_PI = 2.0 * math.pi
+
+
+def _principal_angle(theta: float) -> float:
+    """theta itself where |theta| <= 2 pi, else atan2(sin theta, cos theta).
+
+    The phases e^{-in theta} come from the rounded products n * theta, which
+    lose the phase once |theta| >> 2 pi and overflow near the float limit,
+    while sin and cos reduce theta without that loss. Grid angles, in
+    [0, 2 pi], keep their bits."""
+    if abs(theta) <= _TWO_PI:
+        return theta
+    return math.atan2(math.sin(theta), math.cos(theta))
+
+
 def _tomogram_rows(amps: np.ndarray, q: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """values[i, j] = w(q_j, theta_i) for one amplitude vector."""
+    thetas = np.fromiter(map(_principal_angle, thetas.tolist()), float)
     psi = hermite_function_table(amps.size - 1, q)
     rotated = (amps * np.exp(-1j * np.outer(thetas, np.arange(amps.size)))) @ psi
     return rotated.real**2 + rotated.imag**2
@@ -48,7 +64,8 @@ def tomogram_closed_form(s: QuditState, q: float, theta: float) -> float:
     _tomogram_rows, with the same bits, taken as one dot product."""
     _check_point(q, theta)
     psi = hermite_function_table(s.dim - 1, float(q))[:, 0]
-    rotated = complex(np.dot(s.amps * np.exp(-1j * float(theta) * np.arange(s.dim)), psi))
+    phases = np.exp(-1j * _principal_angle(float(theta)) * np.arange(s.dim))
+    rotated = complex(np.dot(s.amps * phases, psi))
     # Products, as in the array path: a float64 scalar's ** 2 calls pow,
     # which can round differently from x * x.
     return rotated.real * rotated.real + rotated.imag * rotated.imag

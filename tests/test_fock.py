@@ -171,6 +171,27 @@ def test_from_amplitudes_returns_an_unaliased_read_only_unit_vector():
             assert s.amps.tobytes() == kept.tobytes()
 
 
+def test_from_amplitudes_has_the_bytes_of_numpy_normalization():
+    # from_amplitudes normalizes without numpy's scalar layers, but must
+    # give the shape and bytes of the plain numpy normalization for any
+    # input that np.asarray accepts, and keep no alias to it.
+    read_only = np.array([0.3 - 1.1j, 2.0, -0.7j])
+    read_only.flags.writeable = False
+    strided = (np.arange(12.0) - 4.5 + 1j * np.arange(12.0)[::-1])[1::3]
+    for x in (2.5 - 0.5j, [1.0, -2.0, 0.5j], np.array([3, -1, 4], dtype=int), read_only, strided):
+        a = np.atleast_1d(np.asarray(x, complex))
+        expected = a / np.linalg.norm(a)
+        s = QuditState.from_amplitudes(x)
+        assert s.amps.shape == expected.shape
+        assert s.amps.tobytes() == expected.tobytes()
+        assert not np.shares_memory(s.amps, a)
+        if isinstance(x, list):
+            x[0] = 9.0
+        elif isinstance(x, np.ndarray) and x.flags.writeable:
+            x[...] = 9
+        assert s.amps.tobytes() == expected.tobytes()
+
+
 def test_norm_has_the_bytes_of_numpy_norm():
     # _norm skips np.linalg.norm's Python layers but must keep its bits, also
     # where the sum of squares overflows to inf or an entry is NaN.

@@ -75,7 +75,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 149, 399])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 31, 99, 149, 399])
 def test_one_point_recurrence_gives_the_bits_of_its_column(n_max):
     # A single point steps on floats, and a float q of hermite_function_table
     # takes its clamp and seed argument on floats too; both must match the

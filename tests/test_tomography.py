@@ -366,3 +366,52 @@ def test_point_tomogram_gives_the_bits_of_its_grid_entry(d):
         for q, theta in zip(qs, thetas):
             entry = _tomogram_rows(s.amps, np.array([q]), np.array([theta]))[0, 0]
             assert tomogram_closed_form(s, q, theta).hex() == float(entry).hex()
+
+
+@pytest.mark.parametrize("theta", [12345.678, 1e100, 1e300, -3e200, 1.7e308])
+@pytest.mark.parametrize("d", [2, 32, 150])
+def test_closed_form_holds_at_large_angles(d, theta):
+    # Past 2 pi the angle is reduced before it forms e^{-in theta}: the
+    # rounded products n * theta lose the phase at large |theta| and
+    # overflow near the float limit. The marginal route takes cos and sin of
+    # theta itself, and the grid rows reduce the angle alike.
+    amp = 0.8 * quasiperiod(d).value * complex(math.cos(0.4), math.sin(0.4))
+    s = nonlinear_qcs(QcsParams(d, amp))
+    point = tomogram_closed_form(s, 0.5, theta)
+    assert abs(point - tomogram_from_wigner(s, 0.5, theta)) <= 1e-12
+    entry = _tomogram_rows(s.amps, np.array([0.5]), np.array([theta]))[0, 0]
+    assert point.hex() == float(entry).hex()
+
+
+def _reconstructed_density(tomo: Tomogram, d: int) -> np.ndarray:
+    """rho from a tomogram grid, as in homodyne tomography.
+
+    Harmonic k of w(q, theta), the coefficient of e^{-ik theta}, is
+    sum_n rho[n + k, n] psi_{n+k}(q) psi_n(q); an FFT over the distinct
+    angles gives it at every q node, and one least-squares solve per k on
+    the columns psi_{n+k} psi_n gives the k-th diagonal of rho.
+    """
+    values = tomo.values[:-1]  # theta = 2 pi repeats theta = 0
+    n_theta = values.shape[0]
+    assert 2 * d - 1 <= n_theta, "the angles must resolve every harmonic"
+    harmonics = np.fft.fft(values, axis=0) / n_theta
+    psi = hermite_function_table(d - 1, tomo.q_grid)
+    rho = np.empty((d, d), dtype=complex)
+    for k in range(d):
+        n = np.arange(d - k)
+        columns = (psi[k:] * psi[: d - k]).T
+        diagonal = np.linalg.lstsq(columns, harmonics[-k % n_theta], rcond=None)[0]
+        rho[n + k, n] = diagonal
+        rho[n, n + k] = diagonal.conj()
+    return rho
+
+
+@pytest.mark.parametrize("d", range(2, 33))
+def test_default_tomogram_grid_determines_the_state(d):
+    # The paper's closing remark: the tomogram determines the state. The
+    # default 201 x 181 grid gives back |psi><psi| for both families.
+    for frac, phase in ((0.5, 0.4), (1.0, -1.1), (1.5, 2.3)):
+        p = QcsParams(d, frac * quasiperiod(d).value * complex(math.cos(phase), math.sin(phase)))
+        for s in (nonlinear_qcs(p), linear_qcs(p)):
+            rho = _reconstructed_density(tomogram_grid(s), d)
+            assert np.max(np.abs(rho - np.outer(s.amps, s.amps.conj()))) <= 1e-12
