@@ -117,33 +117,13 @@ def _meta(ns: argparse.Namespace) -> str:
 
 
 def _write_json(path: str, payload) -> None:
-    """json.dump(payload, indent=1, sort_keys=True) and a newline.
-
-    A grid payload holds its "values" as a 2-D float array, which
-    gridcsv.write_json_values writes as json writes values.tolist(); json
-    encodes the rest of the payload, with null in its place. The bytes are
-    the same.
-    """
+    """json.dump(payload, indent=1, sort_keys=True) and a newline: a row
+    table or a state file (grid files are written by their write_json)."""
     import json  # loaded by JSON writes alone
 
-    values = payload.get("values") if isinstance(payload, dict) else None
-    if not isinstance(values, np.ndarray):
-        with output_file(path) as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return
-    from .gridcsv import write_json_values  # compiled only where a grid is written
-
-    # Strings escape their newlines, so only the top-level key can start a
-    # line with a one-space indent.
-    key = '\n "values": '
-    head, tail = json.dumps({**payload, "values": None}, indent=1, sort_keys=True).split(
-        key + "null"
-    )
-    with output_file(path, "wb") as fh:
-        fh.write((head + key).encode())
-        write_json_values(fh, values)
-        fh.write((tail + "\n").encode())
+    with output_file(path) as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_rows(ns: argparse.Namespace, columns, line: str, rows, payload=None) -> None:
@@ -168,7 +148,7 @@ def _write_grid(ns: argparse.Namespace, grid) -> None:
     if ns.format == "csv":
         grid.write_csv(ns.out)
     else:
-        _write_json(ns.out, grid.to_json_dict(values_as_list=False))
+        grid.write_json(ns.out)
 
 
 def cmd_state(ns: argparse.Namespace) -> int:

@@ -1,12 +1,12 @@
 """Grid text files: the grid CSV files, one "outer,inner,w" line per grid
-point with every number written as Python's "%.17g" writes it, and the
-"values" matrix of the grid JSON files, every value in json's float text
-(repr's shortest round-trip digits, NaN, Infinity). Both come from one
-vectorized formatter with two digit rules.
+point with every number written as Python's "%.17g" writes it, and the grid
+JSON files, json's text of the fields with the "values" matrix in json's
+float text (repr's shortest round-trip digits, NaN, Infinity). Both value
+texts come from one vectorized formatter with two digit rules.
 
-Importing this module is left to the first grid write (WignerGrid.write_csv,
-Tomogram.write_csv, cli._write_json for a grid), so that no other command
-compiles it at start-up.
+Importing this module is left to the first grid write (the write_csv and
+write_json of WignerGrid and Tomogram), so that no other command compiles it
+at start-up.
 """
 
 from __future__ import annotations
@@ -272,15 +272,24 @@ def write_grid_csv(path, header: str, outer, inner, values, outer_first: bool) -
             fh.write(block.tobytes().translate(None, b"\0"))
 
 
-def write_json_values(fh, values: np.ndarray) -> None:
-    """Write a non-empty 2-D float array to the binary file fh as json.dump
-    (indent=1) writes values.tolist() as a value of a top-level object:
-    "[\n  [\n   v,\n   v\n  ],\n  [\n ...\n  ]\n ]".
+def write_grid_json(path, fields: dict, values: np.ndarray) -> None:
+    """Write the JSON file json.dump({**fields, "values": values.tolist()},
+    indent=1, sort_keys=True) and a newline would write, values a non-empty
+    2-D float array.
 
-    Every value is in json's float text. The values go by blocks of whole
-    rows, about _BLOCK_VALUES values each, formatted (format_shortest) into
-    lines of whole words whose NUL padding is dropped on the way out.
+    json encodes the fields, with null at "values"; the values matrix goes
+    in its place, every value in json's float text, by blocks of whole rows
+    of about _BLOCK_VALUES values, formatted (format_shortest) into lines of
+    whole words whose NUL padding is dropped on the way out.
     """
+    import json  # loaded by JSON writes alone
+
+    # Strings escape their newlines, so only the top-level key can start a
+    # line with a one-space indent.
+    key = '\n "values": '
+    head, tail = json.dumps({**fields, "values": None}, indent=1, sort_keys=True).split(
+        key + "null"
+    )
     rows, columns = values.shape
     step = max(1, _BLOCK_VALUES // columns)
     # Per value: the separator and indent before it, its text, and the end
@@ -289,11 +298,13 @@ def write_json_values(fh, values: np.ndarray) -> None:
     lines[:, :, 0] = _word(b",\n   ")
     lines[:, 0, 0] = _word(b"  [\n   ")
     lines[:, -1, 5] = _word(b"\n  ],\n")
-    fh.write(b"[\n")
-    for start in range(0, rows, step):
-        block = lines[: min(rows - start, step)]
-        if start + len(block) == rows:
-            block[-1, -1, 5] = _word(b"\n  ]\n ]")
-        row_values = np.asarray(values[start : start + len(block)], dtype=float)
-        format_shortest(row_values.reshape(-1), block.reshape(-1, 6)[:, 1:5])
-        fh.write(block.tobytes().translate(None, b"\0"))
+    with output_file(path, "wb") as fh:
+        fh.write((head + key + "[\n").encode())
+        for start in range(0, rows, step):
+            block = lines[: min(rows - start, step)]
+            if start + len(block) == rows:
+                block[-1, -1, 5] = _word(b"\n  ]\n ]")
+            row_values = np.asarray(values[start : start + len(block)], dtype=float)
+            format_shortest(row_values.reshape(-1), block.reshape(-1, 6)[:, 1:5])
+            fh.write(block.tobytes().translate(None, b"\0"))
+        fh.write((tail + "\n").encode())

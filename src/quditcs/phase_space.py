@@ -24,9 +24,8 @@ on d and the two axes; it is a plan cached for the last few grids
 (_weyl_plan), so the states of one volume sweep, which all refine on the
 same ladder of grids, build it once.
 Grids are written by gridcsv, which the tomogram shares: as CSV by
-write_grid_csv, and the values of a JSON file by write_json_values, which
-cli._write_json calls; both open their file through outfile.output_file,
-which removes the file if writing it fails.
+write_grid_csv, and as JSON by write_grid_json; both open their file through
+outfile.output_file, which removes the file if writing it fails.
 """
 
 from __future__ import annotations
@@ -432,10 +431,12 @@ class WignerGrid:
 
         write_grid_csv(path, "q,p,w", self.q_axis(), self.p_axis(), self.values, outer_first=True)
 
-    def to_json_dict(self, values_as_list: bool = True) -> dict:
-        """The JSON fields; values_as_list=False keeps values as the array,
-        for a writer that formats it itself (cli._write_json)."""
-        return {
+    def write_json(self, path) -> None:
+        """One JSON object: the axis bounds and sizes, state_meta, and the
+        rows of values (values[i] at q_i)."""
+        from .gridcsv import write_grid_json  # compiled only where a grid JSON is written
+
+        fields = {
             "q_min": self.q_min,
             "q_max": self.q_max,
             "p_min": self.p_min,
@@ -443,8 +444,8 @@ class WignerGrid:
             "nq": self.nq,
             "np": self.np,
             "state_meta": self.state_meta,
-            "values": self.values.tolist() if values_as_list else self.values,
         }
+        write_grid_json(path, fields, self.values)
 
 
 def wigner_grid(

@@ -58,29 +58,27 @@ def _orthonormal_recurrence(n_max: int, x, seed) -> np.ndarray:
     seeding with a Gaussian keeps the Hermite functions bounded where p_n
     alone would overflow.
 
-    x and seed are arrays of one shape, or one point as two Python floats,
-    which counts as the shape (1,). A single point steps on Python floats:
-    a numpy step on a one-element array costs about 6 us of call overhead
-    against 0.3 us for the float arithmetic. Each step reads its factor pair
-    from _step_factors instead of calling math.sqrt twice, and the rows go
-    into one np.fromiter. The operations and their order are those of the
-    array path, so both give the same bits; the result has the same shape,
-    (n_max + 1,) + x.shape, either way.
+    x and seed are arrays of one shape, giving (n_max + 1,) + x.shape, or
+    one point as two Python floats, giving (n_max + 1, 1). A point steps on
+    Python floats: a numpy step on a one-element array costs about 6 us of
+    call overhead against 0.3 us for the float arithmetic. Each step reads
+    its factor pair from _step_factors instead of calling math.sqrt twice,
+    and the rows go into one np.fromiter. The operations and their order are
+    those of the array path, so both give the same bits.
     """
     if n_max < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n_max}")
-    point = isinstance(x, float)
-    if point or x.size == 1:
-        xv, prev, shape = (x, seed, (1,)) if point else (x.item(), seed.item(), x.shape)
+    if isinstance(x, float):
+        prev = seed
         rows = [prev]
         if n_max >= 1:
-            cur = xv * prev
+            cur = x * prev
             append = rows.append
             append(cur)
             for a, b in _step_factors(n_max):
-                prev, cur = cur, (xv * cur - a * prev) / b
+                prev, cur = cur, (x * cur - a * prev) / b
                 append(cur)
-        return np.fromiter(rows, float, n_max + 1).reshape((n_max + 1,) + shape)
+        return np.fromiter(rows, float, n_max + 1).reshape(n_max + 1, 1)
     table = np.empty((n_max + 1,) + x.shape)
     table[0] = seed
     if n_max >= 1:

@@ -114,15 +114,17 @@ class Tomogram:
             path, "q,theta,w", self.theta_grid, self.q_grid, self.values, outer_first=False
         )
 
-    def to_json_dict(self, values_as_list: bool = True) -> dict:
-        """The JSON fields; values_as_list=False keeps values as the array,
-        for a writer that formats it itself (cli._write_json)."""
-        return {
+    def write_json(self, path) -> None:
+        """One JSON object: both axes, state_meta, and the rows of values
+        (values[i] at theta_grid[i])."""
+        from .gridcsv import write_grid_json  # compiled only where a grid JSON is written
+
+        fields = {
             "q_grid": self.q_grid.tolist(),
             "theta_grid": self.theta_grid.tolist(),
             "state_meta": self.state_meta,
-            "values": self.values.tolist() if values_as_list else self.values,
         }
+        write_grid_json(path, fields, self.values)
 
 
 def tomogram_grid(

@@ -341,21 +341,25 @@ def test_failed_allocation_exits_3_with_one_error_line(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
-def test_failed_grid_block_leaves_no_file(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "fmt, formatter", [("csv", "format_values"), ("json", "format_shortest")], ids=["csv", "json"]
+)
+def test_failed_grid_block_leaves_no_file(tmp_path, monkeypatch, capsys, fmt, formatter):
     # The second block fails after the first one reached the file.
-    out = tmp_path / "w.csv"
+    out = tmp_path / f"w.{fmt}"
     calls = []
-    format_values = gridcsv.format_values
+    format_block = getattr(gridcsv, formatter)
 
     def fail_second(values, words):
         calls.append(values.size)
         if len(calls) == 2:
             assert out.stat().st_size > 0
             raise MemoryError("Unable to allocate 32.0 KiB for an array with shape (4096,)")
-        format_values(values, words)
+        format_block(values, words)
 
-    monkeypatch.setattr(gridcsv, "format_values", fail_second)
-    rc = cli.main(["wigner", "--dim", "2", "--nq", "401", "--np", "401", "--out", str(out)])
+    monkeypatch.setattr(gridcsv, formatter, fail_second)
+    argv = ["wigner", "--dim", "2", "--nq", "401", "--np", "401", "--format", fmt]
+    rc = cli.main([*argv, "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_DOMAIN == 3
     assert len(calls) == 2

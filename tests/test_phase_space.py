@@ -252,7 +252,8 @@ def test_wigner_grid_csv_roundtrip(tmp_path):
 
 def test_wigner_grid_json_schema(tmp_path):
     grid = wigner_grid(QuditState.basis(2, 0), nq=16, npts=16)
-    payload = json.loads(json.dumps(grid.to_json_dict()))
+    grid.write_json(tmp_path / "w.json")
+    payload = json.loads((tmp_path / "w.json").read_text())
     assert set(payload) == {
         "q_min", "q_max", "p_min", "p_max", "nq", "np", "state_meta", "values",
     }

@@ -307,7 +307,8 @@ def test_tomogram_csv_and_json(tmp_path):
     assert t0 == 0.0
     assert w0 == pytest.approx(tomo.values[0, 0], rel=1e-16)
 
-    payload = json.loads(json.dumps(tomo.to_json_dict()))
+    tomo.write_json(tmp_path / "t.json")
+    payload = json.loads((tmp_path / "t.json").read_text())
     assert set(payload) == {"q_grid", "theta_grid", "state_meta", "values"}
     assert payload["state_meta"] == "one-photon"
     assert len(payload["values"]) == 32

@@ -43,6 +43,18 @@ def reference_json(payload, path):
         fh.write("\n")
 
 
+def grid_payload(grid):
+    # The fields of a grid JSON file, each as json.dump would take it.
+    if isinstance(grid, WignerGrid):
+        fields = {
+            "q_min": grid.q_min, "q_max": grid.q_max, "p_min": grid.p_min,
+            "p_max": grid.p_max, "nq": grid.nq, "np": grid.np,
+        }
+    else:
+        fields = {"q_grid": grid.q_grid.tolist(), "theta_grid": grid.theta_grid.tolist()}
+    return {**fields, "state_meta": grid.state_meta, "values": grid.values.tolist()}
+
+
 def _special_values():
     # 3 x 7: every special value, mirrored, negated and scaled
     return np.array([SPECIALS, SPECIALS[::-1], [-1e-3 * v for v in SPECIALS]])
@@ -217,10 +229,14 @@ def test_tomogram_csv_bytes_around_the_block_size(tmp_path, offset):
     ids=["wigner-hand", "wigner-real", "tomogram-hand", "tomogram-real", "state", "rows"],
 )
 def test_json_bytes(tmp_path, k):
-    payloads = [g.to_json_dict() for g in _wigner_grids() + _tomograms()]
+    grids = _wigner_grids() + _tomograms()
+    payloads = [grid_payload(g) for g in grids]
     payloads.append({"meta": TRICKY_META, "dim": 2, "amps_re": SPECIALS, "amps_im": []})
     payloads.append([{"n": n, "p_alpha": v} for n, v in enumerate(SPECIALS)])
-    cli._write_json(tmp_path / "got.json", payloads[k])
+    if k < len(grids):
+        grids[k].write_json(tmp_path / "got.json")
+    else:
+        cli._write_json(tmp_path / "got.json", payloads[k])
     reference_json(payloads[k], tmp_path / "want.json")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
@@ -446,8 +462,8 @@ def test_shortest_corrects_an_exponent_guess_off_by_one(monkeypatch, shift):
 
 
 def assert_grid_json_like_json_dump(tmp_path, grid):
-    cli._write_json(tmp_path / "got.json", grid.to_json_dict(values_as_list=False))
-    reference_json(grid.to_json_dict(), tmp_path / "want.json")
+    grid.write_json(tmp_path / "got.json")
+    reference_json(grid_payload(grid), tmp_path / "want.json")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
@@ -492,7 +508,7 @@ def test_json_values_with_non_finite_int_and_bool_entries(tmp_path):
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
     assert json.loads((tmp_path / "got.json").read_text())["values"][2] == [1, True]
     grid = np.array([[0.25, np.nan], [np.inf, -np.inf]])
-    cli._write_json(tmp_path / "got.json", {"meta": "x", "values": grid})
+    gridcsv.write_grid_json(tmp_path / "got.json", {"meta": "x"}, grid)
     reference_json({"meta": "x", "values": grid.tolist()}, tmp_path / "want.json")
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
@@ -508,17 +524,17 @@ CLI_JSON_GRIDS = {
 
 @pytest.mark.parametrize("name", list(CLI_JSON_GRIDS))
 def test_cli_grid_json_bytes(tmp_path, monkeypatch, name):
-    payloads = []
-    write_json = cli._write_json
+    calls = []
+    write_grid_json = gridcsv.write_grid_json
 
-    def record(path, payload):
-        payloads.append(payload)
-        write_json(path, payload)
+    def record(path, fields, values):
+        calls.append((fields, values))
+        write_grid_json(path, fields, values)
 
-    monkeypatch.setattr(cli, "_write_json", record)
+    monkeypatch.setattr(gridcsv, "write_grid_json", record)
     got, want = tmp_path / "got.json", tmp_path / "want.json"
     assert cli.main([*CLI_JSON_GRIDS[name], "--format", "json", "--out", str(got)]) == 0
-    (payload,) = payloads
-    assert isinstance(payload["values"], np.ndarray) and payload["values"].size >= 181 * 201
-    reference_json({**payload, "values": payload["values"].tolist()}, want)
+    ((fields, values),) = calls
+    assert isinstance(values, np.ndarray) and values.size >= 181 * 201
+    reference_json({**fields, "values": values.tolist()}, want)
     assert got.read_bytes() == want.read_bytes()
