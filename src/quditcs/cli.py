@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import AmplitudeFormatError, ConvergenceError, QuditError
-from .fock import fidelity, mixed_fidelity, photon_distribution
+from .fock import _check_axis_counts, fidelity, mixed_fidelity, photon_distribution
 from .outfile import output_file
 from .qcs import (
     QcsParams,
@@ -196,6 +196,7 @@ def cmd_fidelity_table(ns: argparse.Namespace) -> int:
 def cmd_volume_sweep(ns: argparse.Namespace) -> int:
     if ns.n_points < 2:
         raise ValueError(f"sweep needs at least 2 points, got {ns.n_points}")
+    _check_axis_counts(ns.n_points)
     period = quasiperiod(ns.dim).value
     rows = []
     for frac in np.linspace(0.0, 2.0, ns.n_points):

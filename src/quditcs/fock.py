@@ -2,12 +2,15 @@
 unitary exp(alpha a+ - alpha* a) of the truncated ladder, fidelity measures
 between pure states and simple mixtures, and the radius a d-level state
 reaches in phase space (outer_radius), with the default grid window built
-on it.
+on it, and the sampling rules of its Wigner function: how far it reaches
+(_reach), how finely W must be sampled (_nyquist_step), and how many points
+an axis may hold (_check_axis_counts).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,3 +184,25 @@ def _grid_half_width(d: int) -> float:
     Wigner plane, outer_radius(d) + 2: wigner_grid's square, and the
     tomogram's q window once stretched by sqrt(2) into tomogram units."""
     return outer_radius(d) + 2.0
+
+
+def _reach(d: int) -> float:
+    """sqrt(2d + 1) + 6, beyond which a d-level wavefunction is negligible in
+    x = sqrt(2) q and in sqrt(2) p."""
+    return math.sqrt(2.0 * d + 1.0) + 6.0
+
+
+def _nyquist_step(d: int) -> float:
+    """pi / (2 sqrt(2) _reach(d)): along any line, W of a d-level state is a
+    Gaussian times a polynomial with spectrum within 2 sqrt(2) _reach(d), so
+    samples this fine do not alias, and their trapezoid sum is exact."""
+    return math.pi / (2.0 * math.sqrt(2.0) * _reach(d))
+
+
+def _check_axis_counts(*counts: int) -> None:
+    """Raise ValueError for a count of axis points whose float64 array cannot
+    exist: its byte size would pass sys.maxsize, and np.linspace raises
+    IndexError, not ValueError, for counts near 2**63."""
+    for n in counts:
+        if n > sys.maxsize // 8:
+            raise ValueError(f"an axis of {n} points exceeds the largest float64 array")

@@ -16,13 +16,13 @@ and O(d^2) arithmetic per point. Grids (wigner_grid) and the
 nonclassical-volume quadrature (integrated |W| minus one) instead sample the
 wavefunction once and take its Weyl transform as a matrix product, whose
 cost does not grow with d; the Laguerre sweep stays their reference in the
-tests. A grid is one product; the volume takes it in blocks of rows and
-keeps only weighted column sums of |W|, and for real amplitudes (W even in
-p) over the half-plane p >= 0 alone. What that transform needs besides the
-amplitudes (node layout, psi_n table, weights, cos/sin table) depends only
-on d and the two axes; it is a plan cached for the last few grids
-(_weyl_plan), so the states of one volume sweep, which all refine on the
-same ladder of grids, build it once.
+tests. One routine (_weyl_rows) gives any run of grid rows: a grid is one
+call; the volume calls it per block of rows, keeps only weighted column
+sums of |W|, and for real amplitudes (W even in p) works over p >= 0 alone.
+What that transform needs besides the amplitudes (node layout, psi_n
+table, weights, cos/sin table) depends only on d and the two axes; it is a
+plan cached for the last few grids (_weyl_plan), so the states of one
+volume sweep, which all refine on the same ladder of grids, build it once.
 Grids are written by gridcsv, which the tomogram shares: as CSV by
 write_grid_csv, and as JSON by write_grid_json; both open their file through
 outfile.output_file, which removes the file if writing it fails.
@@ -41,7 +41,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import _EXPORTS
 from .errors import ConvergenceError
-from .fock import QuditState, _grid_half_width, outer_radius
+from .fock import (
+    QuditState, _check_axis_counts, _grid_half_width, _nyquist_step, _reach, outer_radius
+)
 from .special_fn import hermite_function_table, log_factorial_array
 
 __all__ = list(_EXPORTS["phase_space"])
@@ -72,19 +74,6 @@ def _simpson_weights(xs: np.ndarray) -> np.ndarray:
     sw[1::2] = 4.0
     sw[0] = sw[-1] = 1.0
     return sw * ((xs[-1] - xs[0]) / (3.0 * (xs.size - 1)))
-
-
-def _reach(d: int) -> float:
-    """sqrt(2d + 1) + 6, beyond which a d-level wavefunction is negligible in
-    x = sqrt(2) q and in sqrt(2) p."""
-    return math.sqrt(2.0 * d + 1.0) + 6.0
-
-
-def _nyquist_step(d: int) -> float:
-    """pi / (2 sqrt(2) _reach(d)): along any line, W of a d-level state is a
-    Gaussian times a polynomial with spectrum within 2 sqrt(2) _reach(d), so
-    samples this fine do not alias, and their trapezoid sum is exact."""
-    return math.pi / (2.0 * SQRT2 * _reach(d))
 
 
 # Points per block of a point query, which keeps the working memory of the
@@ -349,23 +338,26 @@ def _weyl_psi(plan: _WeylPlan, amps: np.ndarray, real: bool) -> np.ndarray:
     return psi
 
 
-def _weyl_kernel(plan: _WeylPlan, psi: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
-    """Rows lo .. lo + len(out) of the weighted kernel psi*(x_i + y_k)
-    psi(x_i - y_k) w_k, over the plan's rows, written into out."""
+def _weyl_rows(plan: _WeylPlan, psi: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo .. lo + len(out) of the plan's rows of W, over its columns,
+    written into out and returned: the weighted kernel psi*(x_i + y_k)
+    psi(x_i - y_k) w_k of those rows, summed over k by one product with the
+    cos/sin table."""
     # Entry (i, k) of a view is psi[offset + row_step (lo + i) + col_step k];
     # the plan's steps keep every such index within [0, n_nodes).
     def view(offset, row_step, col_step):
         return as_strided(
             psi[offset + row_step * lo :],
-            out.shape,
+            (len(out), plan.weights.size),
             (row_step * psi.itemsize, col_step * psi.itemsize),
             writeable=False,
         )
 
-    np.conjugate(view(*plan.plus), out=out)
-    out *= view(*plan.minus)
-    out *= plan.weights
-    return out
+    # C order, since view(float) needs a contiguous last axis.
+    kernel = np.conjugate(view(*plan.plus), order="C")
+    kernel *= view(*plan.minus)
+    kernel *= plan.weights
+    return np.matmul(kernel.view(float), plan.trig, out=out)
 
 
 def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -391,18 +383,15 @@ def _weyl_grid(amps: np.ndarray, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
     cached per (d, qs, ps) by _weyl_plan: the node layout, the psi_n table
     at the nodes, the weights and the cos/sin table. A volume sweep's states
     share the plans of its rungs. Per state, a grid costs one amps @ table
-    for psi, the kernel psi*(x+y) psi(x-y) read through strided views of
-    psi, and one real (rows x 2k) @ (2k x columns) product that sums over k
-    straight into the returned array, which is always a new one.
+    for psi and one _weyl_rows call: the kernel psi*(x+y) psi(x-y) read
+    through strided views of psi, and one real (rows x 2k) @ (2k x columns)
+    product that sums over k straight into the returned array, a new one.
     """
     values = np.zeros((qs.size, ps.size))
     plan = _weyl_plan(amps.size, qs.tobytes(), ps.tobytes(), False)
     if plan is None:
         return values
-    psi = _weyl_psi(plan, amps, False)
-    kernel = np.empty((plan.rows.stop - plan.rows.start, plan.weights.size), dtype=complex)
-    _weyl_kernel(plan, psi, 0, kernel)
-    np.matmul(kernel.view(float), plan.trig, out=values[plan.rows, plan.cols])
+    _weyl_rows(plan, _weyl_psi(plan, amps, False), 0, values[plan.rows, plan.cols])
     return values
 
 
@@ -465,6 +454,7 @@ def wigner_grid(
     """
     if nq < 16 or npts < 16:
         raise ValueError(f"grid needs at least 16 points per axis, got {nq} x {npts}")
+    _check_axis_counts(nq, npts)
     if window is None:
         hw = _grid_half_width(s.dim)
         window = (-hw, hw, -hw, hw)
@@ -508,7 +498,7 @@ _VOLUME_TOL = 1e-3
 _VOLUME_MAX_REFINEMENTS = 6
 
 
-# Grid rows per block of a volume rung. A block's kernel and product buffer
+# Grid rows per block of a volume rung. A block's kernel and product
 # take O(_VOLUME_ROW_BLOCK * (k + columns)) memory whatever the rung: 5 MB
 # for a real state at d = 150 on the 4097-point rung, whose whole |W| grid
 # would take 134 MB.
@@ -518,9 +508,9 @@ _VOLUME_ROW_BLOCK = 256
 def _abs_weyl_sums(amps: np.ndarray, xs: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     """w[r] |W| w[r] for the two rows r of w, with W on the square grid xs x xs.
 
-    The grid is never held: blocks of _VOLUME_ROW_BLOCK rows of the Weyl
-    transform (_weyl_grid) go through one kernel and one product buffer, and
-    each block's |W| is folded into the (2, columns) sums w[:, rows] @ |W|.
+    The grid is never held: _weyl_rows writes blocks of _VOLUME_ROW_BLOCK
+    rows of the Weyl transform (_weyl_grid) into one reused buffer, and each
+    block's |W| is folded into the (2, columns) sums w[:, rows] @ |W|.
     Real amplitudes take a real plan: a real kernel, the cos rows alone, and
     the columns with p >= 0 only, since W(q, -p) = W(q, p); the axis is
     symmetric about its centre node, 0 exactly, whose column counts once
@@ -531,17 +521,13 @@ def _abs_weyl_sums(amps: np.ndarray, xs: np.ndarray, w: np.ndarray) -> tuple[flo
     plan = _weyl_plan(amps.size, xs.tobytes(), xs.tobytes(), real)
     psi = _weyl_psi(plan, amps, real)
     n_rows = plan.rows.stop - plan.rows.start
-    size = min(n_rows, _VOLUME_ROW_BLOCK)
-    kernel = np.empty((size, plan.weights.size), dtype=psi.dtype)
-    block = np.empty((size, plan.trig.shape[1]))
+    block = np.empty((min(n_rows, _VOLUME_ROW_BLOCK), plan.trig.shape[1]))
     wq = w[:, plan.rows]
     sums = np.zeros((2, block.shape[1]))
-    for lo in range(0, n_rows, size):
-        k = _weyl_kernel(plan, psi, lo, kernel[: n_rows - lo])
-        b = block[: k.shape[0]]
-        np.matmul(k.view(float), plan.trig, out=b)
+    for lo in range(0, n_rows, len(block)):
+        b = _weyl_rows(plan, psi, lo, block[: n_rows - lo])
         np.abs(b, out=b)
-        sums += wq[:, lo : lo + b.shape[0]] @ b
+        sums += wq[:, lo : lo + len(b)] @ b
     wp = w[:, plan.cols]
     if real:
         # xs has 2^k + 1 nodes, so linspace puts its centre at 0 exactly,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .fock import QuditState, _grid_half_width
+from .fock import QuditState, _check_axis_counts, _grid_half_width, _nyquist_step, _reach
 from .special_fn import hermite_function_table
 
 __all__ = list(_EXPORTS["tomography"])
@@ -85,7 +85,7 @@ def tomogram_from_wigner(s: QuditState, q: float, theta: float) -> float:
     rounding: one wigner_values call, no refinement.
     """
     # phase_space is compiled by this cross-check alone, not by tomogram grids
-    from .phase_space import _nyquist_step, _reach, wigner_values
+    from .phase_space import wigner_values
 
     _check_point(q, theta)
     qz = float(q) / math.sqrt(2.0)
@@ -141,6 +141,7 @@ def tomogram_grid(
     """
     if nq < 32 or ntheta < 32:
         raise ValueError(f"grid needs at least 32 points per axis, got {nq} x {ntheta}")
+    _check_axis_counts(nq, ntheta)
     hw = math.sqrt(2.0) * _grid_half_width(s.dim)
     qs = np.linspace(-hw, hw, nq)
     thetas = np.linspace(0.0, 2.0 * math.pi, ntheta)

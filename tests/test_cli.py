@@ -323,6 +323,41 @@ def test_nonconvergence_exits_4(tmp_path, monkeypatch):
     assert rc == 4
 
 
+def test_volume_that_loses_mass_exits_4_with_one_error_line(tmp_path, monkeypatch, capsys):
+    from quditcs import phase_space
+
+    monkeypatch.setattr(phase_space, "_abs_weyl_sums", lambda amps, xs, w: (0.5, 0.5))
+    out = tmp_path / "v.csv"
+    rc = cli.main(["volume-sweep", "--dim", "2", "--n-points", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_NONCONVERGENCE == 4
+    assert captured.err.splitlines() == ["error: quadrature lost probability mass: integral 0.5"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("wigner", "--np", "9223372036854775807"),
+        ("wigner", "--nq", "9223372036854775807"),
+        ("tomogram", "--nq", "9223372036854775807"),
+        ("tomogram", "--ntheta", "9223372036854775807"),
+        ("volume-sweep", "--n-points", "9223372036854775807"),
+    ],
+    ids=["wigner-np", "wigner-nq", "tomogram-nq", "tomogram-ntheta", "volume-sweep-n-points"],
+)
+def test_axis_count_past_any_array_exits_3_with_one_error_line(tmp_path, capsys, args):
+    # np.linspace raises IndexError, not a memory error, for counts near 2**63.
+    out = tmp_path / "x.csv"
+    assert cli.main([*args, "--dim", "2", "--out", str(out)]) == cli.EXIT_DOMAIN == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: an axis of 9223372036854775807 points exceeds the largest float64 array"
+    ]
+    assert not out.exists()
+
+
 def test_failed_allocation_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
     # A stand-in for numpy's "Unable to allocate" error: a real huge grid
     # could succeed under memory overcommit.

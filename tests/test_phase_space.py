@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -285,6 +286,12 @@ def test_nonclassical_volume_validation(monkeypatch):
         nonclassical_volume(s)
 
 
+def test_volume_that_loses_mass_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(phase_space, "_abs_weyl_sums", lambda amps, xs, w: (0.5, 0.5))
+    with pytest.raises(ConvergenceError, match=r"lost probability mass: integral 0\.5$"):
+        nonclassical_volume(QuditState.basis(2, 1))
+
+
 @pytest.mark.parametrize("d, max_refinements, first", [(150, 3, 4), (2, 0, 1), (40, 0, 3)])
 def test_refinement_budget_below_the_first_rung_is_a_value_error(
     d, max_refinements, first, monkeypatch
@@ -383,6 +390,28 @@ def test_wigner_grid_on_a_huge_window_matches_laguerre_sweep():
         reference = _eval_wigner(s.amps, grid.q_axis()[:, None], grid.p_axis()[None, :])
         assert abs(reference[10, 10]) > 1e-3
         assert np.max(np.abs(grid.values - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, window",
+    [
+        (2, (50.0, 60.0, 50.0, 60.0)),  # no row and no column within reach
+        (2, (-1.0, 1.0, 50.0, 60.0)),  # rows within reach, no column
+        (150, (20.0, 30.0, -30.0, -20.0)),
+    ],
+)
+def test_wigner_grid_beyond_reach_is_all_zeros(d, window):
+    # No Weyl plan exists there, so the grid is left at zero; the Laguerre
+    # sweep underflows to exactly 0 at those points too.
+    s = _random_state(d, 700 + d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = wigner_grid(s, window=window, nq=16, npts=16)
+        qs, ps = grid.q_axis(), grid.p_axis()
+        assert phase_space._weyl_plan(d, qs.tobytes(), ps.tobytes(), False) is None
+        reference = _eval_wigner(s.amps, qs[:, None], ps[None, :])
+    assert not grid.values.any()
+    assert np.array_equal(grid.values, reference)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
