@@ -46,9 +46,11 @@ def he_eval(n: int, x):
 
 @lru_cache(maxsize=256)
 def _step_factors(n_max: int) -> tuple:
-    """((math.sqrt(k), math.sqrt(k + 1)) for k = 1 .. n_max - 1), the
-    factors of the one-point recurrence's steps, as Python floats."""
-    return tuple((math.sqrt(k), math.sqrt(k + 1)) for k in range(1, n_max))
+    """((k + 1, math.sqrt(k), math.sqrt(k + 1)) for k = 1 .. n_max - 1): the
+    row each step of the orthonormal recurrence writes and the two factors
+    it scales by, as Python ints and floats, so that no step calls
+    math.sqrt."""
+    return tuple((k + 1, math.sqrt(k), math.sqrt(k + 1)) for k in range(1, n_max))
 
 
 def _orthonormal_recurrence(n_max: int, x, seed) -> np.ndarray:
@@ -59,33 +61,26 @@ def _orthonormal_recurrence(n_max: int, x, seed) -> np.ndarray:
     alone would overflow.
 
     x and seed are arrays of one shape, giving (n_max + 1,) + x.shape, or
-    one point as two Python floats, giving (n_max + 1, 1). A point steps on
-    Python floats: a numpy step on a one-element array costs about 6 us of
-    call overhead against 0.3 us for the float arithmetic. Each step reads
-    its factor pair from _step_factors instead of calling math.sqrt twice,
-    and the rows go into one np.fromiter. The operations and their order are
-    those of the array path, so both give the same bits.
+    one point as two Python floats, giving (n_max + 1, 1). Both kinds step
+    through one loop over _step_factors, writing each row by index; they
+    differ only in where the rows go. An array's rows go into a
+    preallocated table. A point's rows go into a Python list, turned into
+    an array by one np.fromiter at the end, because a numpy step on a
+    one-element array costs about 6 us of call overhead against 0.3 us for
+    the float arithmetic. The operations and their order are the same for
+    both, so a point gives the bits of its column in an array.
     """
     if n_max < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n_max}")
-    if isinstance(x, float):
-        prev = seed
-        rows = [prev]
-        if n_max >= 1:
-            cur = x * prev
-            append = rows.append
-            append(cur)
-            for a, b in _step_factors(n_max):
-                prev, cur = cur, (x * cur - a * prev) / b
-                append(cur)
-        return np.fromiter(rows, float, n_max + 1).reshape(n_max + 1, 1)
-    table = np.empty((n_max + 1,) + x.shape)
-    table[0] = seed
+    point = isinstance(x, float)
+    table = [seed] * (n_max + 1) if point else np.empty((n_max + 1,) + x.shape)
+    table[0] = prev = seed
     if n_max >= 1:
-        table[1] = x * table[0]
-    for k in range(1, n_max):
-        table[k + 1] = (x * table[k] - math.sqrt(k) * table[k - 1]) / math.sqrt(k + 1)
-    return table
+        table[1] = cur = x * prev
+        for k1, a, b in _step_factors(n_max):
+            prev, cur = cur, (x * cur - a * prev) / b
+            table[k1] = cur
+    return np.fromiter(table, float, n_max + 1).reshape(n_max + 1, 1) if point else table
 
 
 def orthonormal_he_table(n_max: int, x) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 import quditcs.cli as cli
 from quditcs import gridcsv
 from quditcs.errors import ConvergenceError
+from quditcs.qcs import QcsParams, cat_state
 
 
 def run_cli(*args):
@@ -70,6 +71,17 @@ def test_state_beta_family_vector(tmp_path):
     payload = json.loads(out.read_text())
     moduli = np.hypot(payload["amps_re"], payload["amps_im"])
     np.testing.assert_allclose(moduli, [0.18, 0.38, 0.57, 0.70], atol=5e-3)
+
+
+@pytest.mark.parametrize("sign", ["even", "odd"])
+def test_cat_family_state_gives_the_bits_of_cat_state(tmp_path, sign):
+    out = tmp_path / "s.json"
+    args = ["state", "--family", f"cat-{sign}", "--dim", "5", "--amp", "1.3,0.4"]
+    assert cli.main([*args, "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    amps = cat_state("alpha", sign, QcsParams(5, 1.3 + 0.4j)).amps
+    assert np.array(payload["amps_re"]).tobytes() == np.ascontiguousarray(amps.real).tobytes()
+    assert np.array(payload["amps_im"]).tobytes() == np.ascontiguousarray(amps.imag).tobytes()
 
 
 def test_real_positive_amplitude_writes_exact_zero_imaginary_parts(tmp_path):
@@ -188,6 +200,14 @@ def test_volume_sweep_json_schema(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("n_points", ["1", "0"])
+def test_volume_sweep_of_fewer_than_two_points_exits_3(tmp_path, capsys, n_points):
+    out = tmp_path / "v.csv"
+    assert cli.main(["volume-sweep", "--dim", "2", "--n-points", n_points, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: sweep needs at least 2 points, got {n_points}\n"
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path):
     args = (
         "wigner", "--dim", "3", "--amp", "1.1,0.4", "--nq", "32", "--np", "32",
@@ -222,6 +242,17 @@ def test_non_finite_amplitudes_exit_2(tmp_path):
     assert not out.exists()
     assert cli.main(["wigner", "--dim", "3", "--amp", "inf", "--out", str(out)]) == 2
     assert cli.main(["photon-dist", "--dim", "4", "--amp", "1,-inf", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "token", ["abc", "1,2,3", "", "1,"], ids=["word", "three_parts", "empty", "empty_im"]
+)
+def test_malformed_amplitude_exits_2_with_one_error_line(tmp_path, capsys, token):
+    out = tmp_path / "x.csv"
+    assert cli.main(["state", "--dim", "3", "--amp", token, "--out", str(out)]) == 2
+    message = f"error: amplitude {token!r} is not 're', 're,im', 'Td' or 'Td/2'\n"
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 

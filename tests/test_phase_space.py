@@ -65,6 +65,17 @@ def test_outer_radius():
     )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: outer_radius(0), "dimension must be positive, got 0"),
+     (lambda: wigner_fock(-1, PhasePoint(0.3, -0.4)), "Fock index must be nonnegative, got -1")],
+    ids=["outer_radius", "wigner_fock"],
+)
+def test_out_of_range_index_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_phase_point():
     pt = PhasePoint(0.3, -0.4)
     assert pt.z == 0.3 - 0.4j

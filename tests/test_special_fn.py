@@ -29,6 +29,18 @@ def test_he_eval_low_orders():
     np.testing.assert_allclose(vals, [-1.0, 0.0, 3.0], atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "build, arg",
+    [(he_eval, np.array([0.5, 1.0])), (orthonormal_he_table, np.array([0.5, 1.0])),
+     (hermite_function_table, 0.5), (hermite_function_table, np.array([0.5]))],
+    ids=["he_eval", "orthonormal_he_table", "hermite_function_table_point",
+         "hermite_function_table_array"],
+)
+def test_negative_degree_is_rejected(build, arg):
+    with pytest.raises(ValueError, match="polynomial degree must be nonnegative, got -1"):
+        build(-1, arg)
+
+
 def test_he_eval_recurrence_consistency():
     rng = np.random.default_rng(11)
     x = rng.uniform(-10.0, 10.0, size=100)
