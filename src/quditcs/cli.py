@@ -102,14 +102,11 @@ def build_state(ns: argparse.Namespace):
 
 
 def parse_dims(text: str) -> list[int]:
-    """Resolve a --dims value, a comma-separated list of at least one int."""
+    """Resolve a --dims value, a comma-separated list of ints with no empty item."""
     try:
-        dims = [int(tok) for tok in text.split(",") if tok]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise AmplitudeFormatError(f"--dims {text!r} is not a comma-separated int list") from None
-    if not dims:
-        raise AmplitudeFormatError(f"--dims {text!r} lists no dimension")
-    return dims
 
 
 def _meta(ns: argparse.Namespace) -> str:

@@ -1,5 +1,7 @@
 """End-to-end command-line checks (subprocess round trips plus exit codes)."""
 
+import gc
+import importlib
 import importlib.util
 import json
 import math
@@ -221,14 +223,19 @@ def test_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
 
-def test_parse_errors_exit_2(tmp_path):
+def test_parse_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     proc = run_cli("state", "--dim", "3", "--amp", "1..2", "--out", out)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     proc = run_cli("fidelity-table", "--dims", "2;3", "--out", out)
     assert proc.returncode == 2
-    assert cli.main(["fidelity-table", "--dims", ",", "--out", out]) == 2
+    # an empty item anywhere in --dims is an error, as it is in --amp
+    for dims in (",", "2,,3", "2,3,"):
+        assert cli.main(["fidelity-table", "--dims", dims, "--out", out]) == 2
+        message = f"error: --dims {dims!r} is not a comma-separated int list\n"
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "x.csv").exists()
     # argparse rejections (missing --out, unknown family) also land on 2
     assert run_cli("state", "--dim", "2").returncode == 2
     assert run_cli("state", "--family", "nope", "--out", out).returncode == 2
@@ -568,3 +575,98 @@ def test_benchmark_tracer_targets_exist():
         (owner.__name__, attr) for owner, attr in tracer.TARGETS if attr not in owner.__dict__
     ]
     assert not missing
+
+
+# Runs the quditcs program the way argv[1] names: "module" as `python -m
+# quditcs` does, "script" as the installed console script does. An atexit
+# hook, which runs after the program's sys.exit, prints the collector's state.
+_PROGRAM_SCRIPT = """
+import atexit, gc, runpy, sys
+assert gc.isenabled() and gc.get_freeze_count() == 0
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))
+launcher, sys.argv = sys.argv[1], ["quditcs", *sys.argv[2:]]
+if launcher == "module":
+    runpy.run_module("quditcs", run_name="__main__", alter_sys=True)
+else:
+    from quditcs.__main__ import run
+    sys.exit(run())
+"""
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+@pytest.mark.parametrize(
+    "args, code", [(("state", "--dim", "3"), 0), (("state", "--dim", "3", "--amp", "x"), 2),
+                   (("state", "--dim", "3", "--family", "nope"), 2)],
+    ids=["ok", "parse_error", "argparse_error"],
+)
+def test_program_runs_without_the_collector_and_freezes_before_shutdown(
+    tmp_path, launcher, args, code
+):
+    # Shutdown's full collections skip frozen objects; the freeze also runs
+    # when argparse exits.
+    out = tmp_path / "s.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROGRAM_SCRIPT, launcher, *args, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True"
+    assert out.exists() == (code == 0)
+
+
+def test_library_and_cli_main_keep_the_collector(tmp_path):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    importlib.import_module("quditcs.__main__")
+    assert cli.main(["state", "--dim", "3", "--out", str(tmp_path / "s.csv")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    script = """
+import gc
+before = (gc.isenabled(), gc.get_freeze_count())
+import quditcs.cli, quditcs.__main__
+assert (gc.isenabled(), gc.get_freeze_count()) == before == (True, 0)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs cli.main(argv[1:]) with the collector off from the start, as the
+# program does, and prints the unreachable objects one collection then finds.
+_CYCLES_SCRIPT = """
+import gc, sys
+gc.disable()
+from quditcs.cli import main
+assert main(sys.argv[1:]) == 0
+print(gc.collect())
+"""
+
+
+@pytest.mark.parametrize(
+    "small, large",
+    [(("volume-sweep", "--dim", "4", "--n-points", "2"),
+      ("volume-sweep", "--dim", "4", "--n-points", "8")),
+     (("wigner", "--dim", "8", "--nq", "16", "--np", "16"),
+      ("wigner", "--dim", "8", "--nq", "64", "--np", "64"))],
+    ids=["volume-sweep", "wigner"],
+)
+def test_a_call_makes_no_cycles_that_grow_with_its_work(tmp_path, small, large):
+    # The program never collects cycles: if a call made them per op, its
+    # memory would grow with the work.
+    counts = []
+    for k, args in enumerate((small, large)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CYCLES_SCRIPT, *args, "--out", str(tmp_path / f"o{k}")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int(proc.stdout.splitlines()[-1]))
+    assert counts[0] == counts[1]
+
+
+def test_installed_script_takes_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    import quditcs.__main__
+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = tomllib.loads(path.read_text())["project"]["scripts"]["quditcs"]
+    module, _, name = entry.partition(":")
+    assert getattr(importlib.import_module(module), name) is quditcs.__main__.run
